@@ -116,8 +116,9 @@ def init_attention_pool(rng, params: dict, d: int, prefix: str = "pool") -> None
 def _paired_layers(p, x, partner, n_heads: int, prefix: str):
     """Pre-norm transformer layers whose attention is restricted to pairs.
 
-    ``partner(node)`` returns the node with every row replaced by its
-    partner's row; each row attends only to itself and that partner.
+    x: (n, B, d).  ``partner(node)`` returns the node with every token
+    replaced by its partner; each token attends only to itself and that
+    partner.
     """
     for i in range(JOINT_LAYERS):
         lp = f"{prefix}/l{i}"
@@ -148,13 +149,10 @@ def joint_encode_batch_node(p, ref_stack, tgt_stack, n_examples: int, n_heads: i
     seg_len = rows // n_examples
 
     def swap_images(t):
-        return ag.concat([t[rows:], t[:rows]], axis=0)
+        return ag.concat([t[:, seg_len:], t[:, :seg_len]], axis=1)
 
-    x = _paired_layers(p, ag.concat([ref_stack, tgt_stack], axis=0), swap_images,
-                       n_heads, prefix)
-    halves = [ag.reshape(x[:rows], (n_examples, seg_len, d)),
-              ag.reshape(x[rows:], (n_examples, seg_len, d))]
-    return ag.concat(halves, axis=1)
+    pair = [ag.reshape(s, (n_examples, seg_len, d)) for s in (ref_stack, tgt_stack)]
+    return _paired_layers(p, ag.concat(pair, axis=1), swap_images, n_heads, prefix)
 
 
 def encode_tokens_batch_node(p, stack, n_examples: int, n_heads: int,
@@ -165,8 +163,8 @@ def encode_tokens_batch_node(p, stack, n_examples: int, n_heads: int,
     attends to itself alone.
     """
     rows, d = stack.shape
-    x = _paired_layers(p, stack, lambda t: t, n_heads, prefix)
-    return ag.reshape(x, (n_examples, rows // n_examples, d))
+    x = ag.reshape(stack, (n_examples, rows // n_examples, d))
+    return _paired_layers(p, x, lambda t: t, n_heads, prefix)
 
 
 def concept_mil_node(bags, table):
@@ -198,7 +196,8 @@ def mean_concept_map(att: np.ndarray, concept_mask: np.ndarray) -> np.ndarray:
 
 def attention_pool_batch_node(p, tokens, n_examples: int, seg_len: int,
                               prefix: str = "pool"):
-    """(weights (n*L) x 1, pooled n x d) for stacked equal-length segments."""
+    """(weights (n*L) x 1, pooled n x d) for equal-length segments, given
+    as an (n*L) x d stack or as (n, L, d)."""
     logits = linear(p, prefix, tokens)
     return segment_softmax_pool(tokens, logits, n_examples, seg_len)
 

@@ -8,8 +8,11 @@ call; nodes are never mutated after creation.
 Primitive set: matmul, elementwise add/sub/mul/div (trailing-dim
 broadcasting), sigmoid, tanh, exp, log, sqrt, softplus, constant powers,
 softmax along an axis, sum/mean/variance along an axis, concatenation,
-basic slicing, row gather (embedding lookup), 2-D transpose.  Reductions
-accumulate in float64 regardless of storage dtype.
+basic slicing, row gather (embedding lookup), transpose of the last two
+axes; matmul also takes (n, L, d) batches.  Reductions accumulate in
+float64 regardless of storage dtype.  A backward function is given its
+node's gradient and holds the parents and arrays it needs, never the node,
+so a graph holds no reference cycle and dies with its outputs.
 
 Non-differentiable selections (argmax and friends) are deliberately
 absent: programs that need a hard selection cannot be expressed, which is
@@ -40,14 +43,14 @@ class GraphError(ValueError):
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "op", "parents", "grad", "_backward")
+    __slots__ = ("value", "op", "parents", "grad", "_backward", "__weakref__")
 
     def __init__(self, value: np.ndarray, op: str = "leaf", parents: tuple = ()):
         self.value = value
         self.op = op
         self.parents = parents
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,9 +116,6 @@ def leaf(values, dtype=None) -> Node:
     return Node(arr)
 
 
-constant = leaf
-
-
 def _lift(other, like: Node) -> Node:
     if isinstance(other, Node):
         return other
@@ -132,7 +132,7 @@ def _node_path(node: Node, depth: int = 8) -> str:
     return " <- ".join(parts)
 
 
-def _finish(out: Node, backward: Callable[[], None]) -> Node:
+def _finish(out: Node, backward: Callable[[np.ndarray], None]) -> Node:
     if not np.isfinite(out.value).all():
         raise NonFiniteError(
             f"non-finite values from primitive '{out.op}' (path: {_node_path(out)})"
@@ -142,9 +142,9 @@ def _finish(out: Node, backward: Callable[[], None]) -> Node:
 
 
 def _accum(node: Node, g: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad = node.grad + g
+    # the first gradient is taken as is; it may be a view, so later ones
+    # are added out of place
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -175,9 +175,9 @@ def add(a: Node, b: Node) -> Node:
     _check_broadcast("add", a, b)
     out = Node(a.value + b.value, "add", (a, b))
 
-    def backward():
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(out.grad, b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
 
     return _finish(out, backward)
 
@@ -186,9 +186,9 @@ def sub(a: Node, b: Node) -> Node:
     _check_broadcast("sub", a, b)
     out = Node(a.value - b.value, "sub", (a, b))
 
-    def backward():
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(-out.grad, b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(-g, b.shape))
 
     return _finish(out, backward)
 
@@ -197,9 +197,9 @@ def mul(a: Node, b: Node) -> Node:
     _check_broadcast("mul", a, b)
     out = Node(a.value * b.value, "mul", (a, b))
 
-    def backward():
-        _accum(a, _unbroadcast(out.grad * b.value, a.shape))
-        _accum(b, _unbroadcast(out.grad * a.value, b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g * b.value, a.shape))
+        _accum(b, _unbroadcast(g * a.value, b.shape))
 
     return _finish(out, backward)
 
@@ -209,9 +209,9 @@ def div(a: Node, b: Node) -> Node:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Node(a.value / b.value, "div", (a, b))
 
-    def backward():
-        _accum(a, _unbroadcast(out.grad / b.value, a.shape))
-        _accum(b, _unbroadcast(-out.grad * a.value / (b.value * b.value), b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g / b.value, a.shape))
+        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.shape))
 
     return _finish(out, backward)
 
@@ -221,19 +221,38 @@ def div(a: Node, b: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Node, b: Node) -> Node:
+    """1-D/2-D products, plus 3-D @ 3-D (example by example) and 3-D @ 2-D
+    (one matrix for every example; its gradient sums over the batch)."""
     av, bv = a.value, b.value
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise ShapeError(f"matmul: operands must be 1-D or 2-D, got {av.shape} @ {bv.shape}")
-    if (av.shape[-1] if av.ndim else 0) != bv.shape[0]:
+    if not ((av.ndim in (1, 2) and bv.ndim in (1, 2)) or (av.ndim == 3 and bv.ndim in (2, 3))):
+        raise ShapeError(f"matmul: operands must be 1-D/2-D, or 3-D @ 2-D/3-D, "
+                         f"got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2 if bv.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
+    if bv.ndim == 3 and av.shape[0] != bv.shape[0]:
+        raise ShapeError(f"matmul: batch sizes differ, {av.shape} @ {bv.shape}")
+    if av.ndim >= 2 and bv.ndim == 2:
+        # rows @ one matrix: a batch is a single GEMM over all its rows
+        rows = av.reshape(-1, av.shape[-1])
+        out = Node((rows @ bv).reshape(av.shape[:-1] + bv.shape[1:]), "matmul", (a, b))
+
+        def backward(g):
+            g = g.reshape(-1, g.shape[-1])
+            _accum(a, (g @ bv.T).reshape(av.shape))
+            _accum(b, rows.T @ g)
+
+        return _finish(out, backward)
     out = Node(av @ bv, "matmul", (a, b))
 
-    def backward():
-        g = out.grad
-        if av.ndim == 2 and bv.ndim == 2:
-            _accum(a, g @ bv.T)
-            _accum(b, av.T @ g)
+    def backward(g):
+        if bv.ndim == 3:
+            _accum(a, g @ _swap(bv))
+            _accum(b, _swap(av) @ g)
         elif av.ndim == 1 and bv.ndim == 2:
             _accum(a, bv @ g)
             _accum(b, np.outer(av, g))
@@ -253,19 +272,20 @@ def reshape(a: Node, shape) -> Node:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     out = Node(a.value.reshape(shape), "reshape", (a,))
 
-    def backward():
-        _accum(a, out.grad.reshape(a.value.shape))
+    def backward(g):
+        _accum(a, g.reshape(a.value.shape))
 
     return _finish(out, backward)
 
 
 def transpose(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose: expected a 2-D operand, got shape {a.shape}")
-    out = Node(a.value.T, "transpose", (a,))
+    """Swap the last two axes (the matrix transpose of each example)."""
+    if a.value.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
+    out = Node(_swap(a.value), "transpose", (a,))
 
-    def backward():
-        _accum(a, out.grad.T)
+    def backward(g):
+        _accum(a, _swap(g))
 
     return _finish(out, backward)
 
@@ -278,62 +298,61 @@ def transpose(a: Node) -> Node:
 def sigmoid(a: Node) -> Node:
     x = a.value
     t = np.exp(-np.abs(x))
-    val = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    out = Node(val.astype(x.dtype, copy=False), "sigmoid", (a,))
+    val = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t)).astype(x.dtype, copy=False)
 
-    def backward():
-        _accum(a, out.grad * out.value * (1.0 - out.value))
+    def backward(g):
+        _accum(a, g * val * (1.0 - val))
 
-    return _finish(out, backward)
+    return _finish(Node(val, "sigmoid", (a,)), backward)
 
 
 def tanh(a: Node) -> Node:
-    out = Node(np.tanh(a.value), "tanh", (a,))
+    val = np.tanh(a.value)
 
-    def backward():
-        _accum(a, out.grad * (1.0 - out.value * out.value))
+    def backward(g):
+        _accum(a, g * (1.0 - val * val))
 
-    return _finish(out, backward)
+    return _finish(Node(val, "tanh", (a,)), backward)
 
 
 def exp(a: Node) -> Node:
-    out = Node(np.exp(a.value), "exp", (a,))
+    val = np.exp(a.value)
 
-    def backward():
-        _accum(a, out.grad * out.value)
+    def backward(g):
+        _accum(a, g * val)
 
-    return _finish(out, backward)
+    return _finish(Node(val, "exp", (a,)), backward)
 
 
 def log(a: Node) -> Node:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Node(np.log(a.value), "log", (a,))
 
-    def backward():
-        _accum(a, out.grad / a.value)
+    def backward(g):
+        _accum(a, g / a.value)
 
     return _finish(out, backward)
 
 
 def sqrt(a: Node) -> Node:
     with np.errstate(invalid="ignore"):
-        out = Node(np.sqrt(a.value), "sqrt", (a,))
+        val = np.sqrt(a.value)
 
-    def backward():
-        _accum(a, out.grad * 0.5 / out.value)
+    def backward(g):
+        _accum(a, g * 0.5 / val)
 
-    return _finish(out, backward)
+    return _finish(Node(val, "sqrt", (a,)), backward)
 
 
 def softplus(a: Node) -> Node:
     """log(1 + exp(x)), evaluated stably for large |x|."""
     out = Node(np.logaddexp(0.0, a.value).astype(a.value.dtype, copy=False), "softplus", (a,))
 
-    def backward():
+    def backward(g):
         x = a.value
         t = np.exp(-np.abs(x))
         sig = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-        _accum(a, out.grad * sig)
+        _accum(a, g * sig)
 
     return _finish(out, backward)
 
@@ -345,13 +364,13 @@ def powc(a: Node, p: float) -> Node:
         raise GraphError(f"powc: exponent must be non-negative, got {p}")
     out = Node(np.power(a.value, p), "powc", (a,))
 
-    def backward():
+    def backward(g):
         if p == 0.0:
             return
         if p == 1.0:
-            _accum(a, out.grad)
+            _accum(a, g)
         else:
-            _accum(a, out.grad * p * np.power(a.value, p - 1.0))
+            _accum(a, g * p * np.power(a.value, p - 1.0))
 
     return _finish(out, backward)
 
@@ -365,15 +384,12 @@ def softmax(a: Node, axis: int) -> Node:
     x = a.value
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    val = e / e.sum(axis=axis, keepdims=True)
-    out = Node(val.astype(x.dtype, copy=False), "softmax", (a,))
+    y = (e / e.sum(axis=axis, keepdims=True)).astype(x.dtype, copy=False)
 
-    def backward():
-        y = out.value
-        g = out.grad
+    def backward(g):
         _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    return _finish(out, backward)
+    return _finish(Node(y, "softmax", (a,)), backward)
 
 
 def _restore_axes(g: np.ndarray, axis, keepdims: bool, src_shape) -> np.ndarray:
@@ -386,8 +402,8 @@ def sum_(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     val = a.value.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
     out = Node(val.astype(a.value.dtype), "sum", (a,))
 
-    def backward():
-        g = _restore_axes(out.grad, axis, keepdims, a.shape)
+    def backward(g):
+        g = _restore_axes(g, axis, keepdims, a.shape)
         _accum(a, np.broadcast_to(g, a.shape).astype(a.value.dtype, copy=False))
 
     return _finish(out, backward)
@@ -398,8 +414,8 @@ def mean(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     out = Node(np.asarray(val).astype(a.value.dtype), "mean", (a,))
     n = a.value.size if axis is None else a.shape[axis]
 
-    def backward():
-        g = _restore_axes(out.grad, axis, keepdims, a.shape)
+    def backward(g):
+        g = _restore_axes(g, axis, keepdims, a.shape)
         _accum(a, np.broadcast_to(g / n, a.shape).astype(a.value.dtype, copy=False))
 
     return _finish(out, backward)
@@ -415,8 +431,8 @@ def variance(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     out = Node(val32, "variance", (a,))
     n = a.value.size if axis is None else a.shape[axis]
 
-    def backward():
-        g = _restore_axes(out.grad, axis, keepdims, a.shape)
+    def backward(g):
+        g = _restore_axes(g, axis, keepdims, a.shape)
         centered = a.value - a.value.mean(axis=axis, keepdims=True, dtype=np.float64).astype(
             a.value.dtype
         )
@@ -445,11 +461,11 @@ def concat(nodes, axis: int = 0) -> Node:
     sizes = [n.shape[axis] for n in nodes]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(g):
         for n, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * val.ndim
             idx[axis] = slice(start, stop)
-            _accum(n, out.grad[tuple(idx)])
+            _accum(n, g[tuple(idx)])
 
     return _finish(out, backward)
 
@@ -460,9 +476,9 @@ def getitem(a: Node, index) -> Node:
         val = np.asarray(val)
     out = Node(val, "slice", (a,))
 
-    def backward():
+    def backward(g):
         buf = np.zeros_like(a.value)
-        buf[index] = out.grad
+        buf[index] = g
         _accum(a, buf)
 
     return _finish(out, backward)
@@ -479,9 +495,9 @@ def gather_rows(table: Node, ids) -> Node:
         )
     out = Node(table.value[ids], "gather", (table,))
 
-    def backward():
+    def backward(g):
         buf = np.zeros_like(table.value)
-        np.add.at(buf, ids, out.grad)
+        np.add.at(buf, ids, g)
         _accum(table, buf)
 
     return _finish(out, backward)
@@ -514,14 +530,16 @@ def _toposort(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Run reverse-mode accumulation from a scalar loss node."""
+    """Run reverse-mode accumulation from a scalar loss node, dropping each
+    backward function (and the arrays it holds) once it has run."""
     if loss.value.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
+        fn, node._backward = node._backward, None
+        if fn is not None and node.grad is not None:
+            fn(node.grad)
 
 
 def run_program(
@@ -547,7 +565,8 @@ def forward_backward(
 ) -> tuple[dict[str, Tensor], ParameterSet]:
     """Evaluate a program and return outputs plus d(loss)/d(param).
 
-    Parameters never touched by the loss get zero gradients.
+    Parameters never touched by the loss get zero gradients.  A gradient
+    that is not finite in float32 raises NonFiniteError naming its path.
     """
     outputs, param_nodes = run_program(program, inputs, params)
     if loss_name not in outputs:
@@ -557,20 +576,13 @@ def forward_backward(
     for path, node in param_nodes.items():
         if node.grad is None:
             grads[path] = Tensor.zeros(node.shape)
-        else:
+            continue
+        try:  # Tensor rejects NaN and Inf, also after the cast to float32
             grads[path] = Tensor(node.grad.astype(np.float32))
+        except ValueError as e:
+            raise NonFiniteError(f"non-finite gradient for parameter {path!r}") from e
     out_tensors = {k: Tensor(v.value.astype(np.float32)) for k, v in outputs.items()}
     return out_tensors, ParameterSet(grads)
-
-
-def evaluate_program(
-    program: Program,
-    inputs: Mapping[str, Tensor | np.ndarray],
-    params: ParameterSet,
-) -> dict[str, np.ndarray]:
-    """Forward-only evaluation; returns plain arrays."""
-    outputs, _ = run_program(program, inputs, params)
-    return {k: v.value for k, v in outputs.items()}
 
 
 def grad_check(

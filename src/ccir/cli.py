@@ -133,7 +133,7 @@ def cmd_generate_data(args) -> int:
         return EXIT_CONFIG
     paths = generate_dataset(
         args.out, args.n_train, args.n_val, cfg, seed=args.seed,
-        holdout_colors=holdout or None,
+        holdout_colors=tuple(holdout),
     )
     print(json.dumps({k: str(v) for k, v in paths.items()}, sort_keys=True))
     return EXIT_OK

@@ -4,18 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-ABLATION_FLAGS = (
-    "reference_only",
-    "target_only",
-    "cross_entropy_loss",
-    "remove_fusion",
-    "plain_layer_norm",
-    "remove_concept_module",
-    "context_score_on",
-    "share_block_weights",
-)
-
-
 @dataclass
 class TrainConfig:
     # architecture

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autograd as ag
 from .layers import (
-    block_diag_mask,
     gru_step,
     init_gru,
     init_linear,
@@ -98,8 +97,9 @@ def init_image_encoder(rng, params: dict, d: int, patch: int, channels: int,
 def encode_image_batch_node(p, prefix: str, patches, n_heads: int, n_images: int):
     """Encode ``n_images`` stacked patch matrices in one graph pass.
 
-    patches: (n_images*L) x patch_dim node or array.  Attention stays
-    within each image via a block-diagonal mask.
+    patches: (n_images*L) x patch_dim node or array.  The tokens run
+    through the layer as (n_images, L, d), so each image attends only to
+    its own patches.  Returns the (n_images*L) x d stack.
     """
     if not isinstance(patches, ag.Node):
         patches = ag.leaf(patches)
@@ -107,10 +107,11 @@ def encode_image_batch_node(p, prefix: str, patches, n_heads: int, n_images: int
     if total % n_images:
         raise ValueError(f"{total} patch rows not divisible by {n_images} images")
     per = total // n_images
-    pos_ids = np.tile(np.arange(per), n_images)
-    x = linear(p, prefix + "/patch", patches) + ag.gather_rows(p[prefix + "/pos"], pos_ids)
-    mask = block_diag_mask([per] * n_images) if n_images > 1 else None
-    return transformer_layer(p, prefix + "/enc", x, n_heads, mask)
+    x = linear(p, prefix + "/patch", patches)
+    d = x.shape[1]
+    x = ag.reshape(x, (n_images, per, d)) + p[prefix + "/pos"]
+    x = transformer_layer(p, prefix + "/enc", x, n_heads)
+    return ag.reshape(x, (total, d))
 
 
 def encode_image(image: np.ndarray, params: ParameterSet, patch: int,

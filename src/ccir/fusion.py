@@ -18,7 +18,6 @@ import numpy as np
 from . import autograd as ag
 from .layers import (
     attention_core,
-    block_diag_mask,
     ffn,
     init_ffn,
     init_layer_norm,
@@ -27,6 +26,7 @@ from .layers import (
     layer_norm,
     linear,
     mha,
+    pad_segments,
 )
 from .tensor import ParameterSet, Tensor
 
@@ -104,21 +104,17 @@ def fusion_sequence_batch_node(p, q, word_feats, lengths, k_steps: int, n_heads:
                                prefix: str = "fusion"):
     """K indicators per example: attended word summaries driven by FC_i(q).
 
-    q: n x d; word_feats: (sum L_w) x d example-major.  Returns a list of
-    K nodes, each n x d.
+    q: n x d; word_feats: (sum L_w) x d example-major.  Each example's
+    query attends over its own words, padded to (n, T) keys with a key
+    mask.  Returns a list of K nodes, each n x d.
     """
-    n = q.shape[0]
-    total = int(sum(lengths))
-    mask = np.full((n, total), -1e9, dtype=np.float32)
-    start = 0
-    for i, L in enumerate(lengths):
-        mask[i, start : start + L] = 0.0
-        start += L
+    n, d = q.shape
+    words, key_mask = pad_segments(word_feats, lengths)
     indicators = []
     for i in range(k_steps):
-        fq = linear(p, f"{prefix}/seq/fc{i}", q)
-        s_i = mha(p, f"{prefix}/seq/attn", fq, word_feats, word_feats, n_heads, mask)
-        indicators.append(s_i)
+        fq = ag.reshape(linear(p, f"{prefix}/seq/fc{i}", q), (n, 1, d))
+        s_i = mha(p, f"{prefix}/seq/attn", fq, words, words, n_heads, key_mask)
+        indicators.append(ag.reshape(s_i, (n, d)))
     return indicators
 
 
@@ -133,36 +129,37 @@ def instantiate_block_batch_node(p, s_i, prefix: str = "fusion"):
 
 
 def adaptive_norm_node(x, mu, sigma, eps: float = NORM_EPS):
-    """Per-row standardization, then externally supplied scale and shift."""
-    m = ag.mean(x, axis=1, keepdims=True)
-    v = ag.variance(x, axis=1, keepdims=True)
+    """Per-token standardization over the last axis, then externally
+    supplied scale and shift."""
+    m = ag.mean(x, axis=-1, keepdims=True)
+    v = ag.variance(x, axis=-1, keepdims=True)
     return sigma * ((x - m) / ag.sqrt(v + eps)) + mu
 
 
-def fusion_step_batch_node(p, f_prev, inst, n_examples: int, seg_len: int,
-                           n_heads: int, step: int, share_block: bool = True,
-                           plain_ln: bool = False, prefix: str = "fusion"):
-    """One instantiated block application over stacked reference tokens.
+def fusion_step_batch_node(p, f_prev, inst, n_heads: int, step: int,
+                           share_block: bool = True, plain_ln: bool = False,
+                           prefix: str = "fusion"):
+    """One instantiated block application over each example's reference tokens.
 
-    f_prev: (n*L) x d; inst: generator outputs, each n x d (ignored when
-    plain_ln selects the learned layer-norm affine instead).
+    f_prev: (n, L, d); inst: generator outputs, each n x d, broadcast over
+    an example's tokens as (n, 1, d) (ignored when plain_ln selects the
+    learned layer-norm affine instead).  Attention stays within each
+    example.  Returns (n, L, d).
     """
     bp = block_prefix(prefix, step, share_block)
-    rep = np.repeat(np.arange(n_examples), seg_len)
+    n, _, d = f_prev.shape
 
     def site_norm(x, which: str):
         if plain_ln:
             return layer_norm(p, f"{bp}/ln{which}", x)
-        mu = ag.gather_rows(inst["mu" + which], rep)
-        sg = ag.gather_rows(inst["sg" + which], rep)
+        mu = ag.reshape(inst["mu" + which], (n, 1, d))
+        sg = ag.reshape(inst["sg" + which], (n, 1, d))
         return adaptive_norm_node(x, mu, sg)
 
     f1 = site_norm(f_prev, "1")
     qkv = linear(p, bp + "/qkv", f1)
-    d = f1.shape[1]
-    q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-    mask = block_diag_mask([seg_len] * n_examples) if n_examples > 1 else None
-    att = linear(p, bp + "/attn_o", attention_core(q, k, v, n_heads, mask))
+    q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+    att = linear(p, bp + "/attn_o", attention_core(q, k, v, n_heads))
     f2 = att + f1
     f3 = site_norm(f2, "2")
     return ffn(p, bp + "/ffn", f3) + f3
@@ -238,10 +235,10 @@ def fusion_step(f_prev: FusedTokens, inst: BlockInstance, params: ParameterSet,
         "sg2": ag.leaf(inst.sigma2[None, :]),
     }
     node = fusion_step_batch_node(
-        p, ag.leaf(f_prev.tokens), inst_nodes, 1, f_prev.tokens.shape[0],
-        n_heads, step, share_block, prefix=prefix,
+        p, ag.leaf(f_prev.tokens[None]), inst_nodes, n_heads, step, share_block,
+        prefix=prefix,
     )
-    return FusedTokens(node.value.astype(np.float32), step=f_prev.step + 1)
+    return FusedTokens(node.value[0].astype(np.float32), step=f_prev.step + 1)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

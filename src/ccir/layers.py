@@ -42,9 +42,10 @@ def init_layer_norm(rng, params: dict, prefix: str, d: int) -> None:
 
 
 def layer_norm(p, prefix: str, x, eps: float = 1e-5):
-    """Per-row standardization over channels with learned scale/shift."""
-    m = ag.mean(x, axis=1, keepdims=True)
-    v = ag.variance(x, axis=1, keepdims=True)
+    """Per-token standardization over channels (the last axis) with learned
+    scale/shift."""
+    m = ag.mean(x, axis=-1, keepdims=True)
+    v = ag.variance(x, axis=-1, keepdims=True)
     norm = (x - m) / ag.sqrt(v + eps)
     return norm * p[prefix + "/g"] + p[prefix + "/b"]
 
@@ -52,47 +53,61 @@ def layer_norm(p, prefix: str, x, eps: float = 1e-5):
 # -- multi-head attention ---------------------------------------------------
 
 
-def attention_core(q, k, v, n_heads: int, extra_scores=None):
-    """Scaled dot-product attention on already-projected 2-D inputs.
+def attention_core(q, k, v, n_heads: int, key_mask=None):
+    """Scaled dot-product attention within each example.
 
-    ``extra_scores`` (a constant array or node, broadcastable to Lq x Lk)
-    is added to the logits before softmax; a block-diagonal 0/-1e9 pattern
-    turns one call into many independent attention groups.
+    q: (n, Lq, d), k and v: (n, Lk, d), already projected; each head
+    attends on (n, L, d/n_heads) slices, so only n * Lq * Lk scores are
+    formed.  2-D operands are a single example.  ``key_mask`` (a constant
+    array broadcastable to (n, Lq, Lk), 0 for a live key and -1e9 for a
+    padded one) is added to the logits before the softmax.
     """
-    d = q.shape[1]
+    d = q.shape[-1]
     if d % n_heads:
         raise ValueError(f"width {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
     outs = []
     for h in range(n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = ag.matmul(q[:, cols], ag.transpose(k[:, cols])) * scale
-        if extra_scores is not None:
-            scores = scores + extra_scores
-        att = ag.softmax(scores, axis=1)
-        outs.append(ag.matmul(att, v[:, cols]))
-    return ag.concat(outs, axis=1)
+        cols = (Ellipsis, slice(h * dh, (h + 1) * dh))
+        scores = ag.matmul(q[cols], ag.transpose(k[cols])) * scale
+        if key_mask is not None:
+            scores = scores + key_mask
+        att = ag.softmax(scores, axis=-1)
+        outs.append(ag.matmul(att, v[cols]))
+    return ag.concat(outs, axis=-1)
+
+
+def pad_segments(x, lengths):
+    """Example-major (sum L) x d rows as (n, T, d), T = max(lengths), with
+    the additive (n, 1, T) key mask: 0 on each example's own rows, -1e9 on
+    its padding (which repeats its last row)."""
+    lengths = np.asarray(lengths)
+    pos = np.arange(lengths.max())
+    rows = np.cumsum(lengths)[:, None] - lengths[:, None] + np.minimum(pos, lengths[:, None] - 1)
+    padded = ag.reshape(ag.gather_rows(x, rows.reshape(-1)), rows.shape + (x.shape[1],))
+    return padded, np.where(pos < lengths[:, None], 0.0, -1e9).astype(np.float32)[:, None, :]
 
 
 def pair_attention_core(q, k, v, k_pair, v_pair, n_heads: int):
-    """Attention in which each query row sees exactly two keys.
+    """Attention in which each query token sees exactly two keys.
 
-    Row i of ``q`` attends to row i of ``k``/``v`` (itself) and row i of
-    ``k_pair``/``v_pair`` (its partner).  A softmax over two logits is the
-    sigmoid of their difference, so no score matrix is ever formed.
+    Token i of ``q`` attends to token i of ``k``/``v`` (itself) and token i
+    of ``k_pair``/``v_pair`` (its partner); operands are (n, L, d) or 2-D.
+    A softmax over two logits is the sigmoid of their difference, so no
+    score matrix is ever formed.
     """
-    rows, d = q.shape
+    d = q.shape[-1]
     if d % n_heads:
         raise ValueError(f"width {d} not divisible by {n_heads} heads")
     dh = d // n_heads
 
     def heads(x):
-        return ag.reshape(x, (rows, n_heads, dh))
+        return ag.reshape(x, q.shape[:-1] + (n_heads, dh))
 
-    gap = ag.sum_(heads(q * (k - k_pair)), axis=2, keepdims=True) * (1.0 / math.sqrt(dh))
+    gap = ag.sum_(heads(q * (k - k_pair)), axis=-1, keepdims=True) * (1.0 / math.sqrt(dh))
     w_self = ag.sigmoid(gap)
-    return ag.reshape(heads(v_pair) + w_self * heads(v - v_pair), (rows, d))
+    return ag.reshape(heads(v_pair) + w_self * heads(v - v_pair), q.shape)
 
 
 def init_mha(rng, params: dict, prefix: str, d: int) -> None:
@@ -100,11 +115,11 @@ def init_mha(rng, params: dict, prefix: str, d: int) -> None:
         init_linear(rng, params, f"{prefix}/{name}", d, d)
 
 
-def mha(p, prefix: str, q_in, k_in, v_in, n_heads: int, extra_scores=None):
+def mha(p, prefix: str, q_in, k_in, v_in, n_heads: int, key_mask=None):
     q = linear(p, prefix + "/q", q_in)
     k = linear(p, prefix + "/k", k_in)
     v = linear(p, prefix + "/v", v_in)
-    return linear(p, prefix + "/o", attention_core(q, k, v, n_heads, extra_scores))
+    return linear(p, prefix + "/o", attention_core(q, k, v, n_heads, key_mask))
 
 
 # -- feed-forward -----------------------------------------------------------
@@ -133,9 +148,10 @@ def init_transformer_layer(rng, params: dict, prefix: str, d: int, hidden: int |
     init_ffn(rng, params, prefix + "/ffn", d, hidden or 2 * d)
 
 
-def transformer_layer(p, prefix: str, x, n_heads: int, extra_scores=None):
+def transformer_layer(p, prefix: str, x, n_heads: int):
+    """Self-attention within each example of x: (n, L, d), or (L, d)."""
     h = layer_norm(p, prefix + "/ln1", x)
-    x = x + mha(p, prefix + "/attn", h, h, h, n_heads, extra_scores)
+    x = x + mha(p, prefix + "/attn", h, h, h, n_heads)
     h2 = layer_norm(p, prefix + "/ln2", x)
     return x + ffn(p, prefix + "/ffn", h2)
 
@@ -168,29 +184,12 @@ def gru_step(p, prefix: str, x, h):
     return (1.0 - z) * n + z * h
 
 
-def block_diag_mask(lengths, dtype=np.float32) -> np.ndarray:
-    """Additive attention mask keeping each segment independent.
-
-    Returns an (L x L) array, L = sum(lengths), with 0 inside each
-    diagonal block and -1e9 elsewhere.
-    """
-    total = int(sum(lengths))
-    mask = np.full((total, total), -1e9, dtype=dtype)
-    start = 0
-    for n in lengths:
-        mask[start : start + n, start : start + n] = 0.0
-        start += n
-    return mask
-
-
 def segment_softmax_pool(tokens, logits, n_segments: int, seg_len: int):
-    """Attention-pool equal-length stacked segments in one shot.
+    """Attention-pool equal-length segments in one shot.
 
-    tokens: (n*L) x d node; logits: (n*L) x 1 node.  Returns (weights
-    flattened to (n*L) x 1, pooled n x d).
+    tokens: (n*L) x d or (n, L, d); logits: one per token.  Returns
+    (weights flattened to (n*L) x 1, pooled n x d).
     """
-    w = ag.softmax(ag.reshape(logits, (n_segments, seg_len)), axis=1)
-    w_flat = ag.reshape(w, (n_segments * seg_len, 1))
-    picker = np.kron(np.eye(n_segments, dtype=np.float32), np.ones((1, seg_len), np.float32))
-    pooled = ag.matmul(ag.leaf(picker), tokens * w_flat)
-    return w_flat, pooled
+    w = ag.softmax(ag.reshape(logits, (n_segments, seg_len, 1)), axis=1)
+    segments = ag.reshape(tokens, (n_segments, seg_len, tokens.shape[-1]))
+    return ag.reshape(w, (n_segments * seg_len, 1)), ag.sum_(segments * w, axis=1)

@@ -76,22 +76,32 @@ def subset_target_ranks(scores: np.ndarray, subsets, target_indices,
     return ranks
 
 
-def visually_similar_subset(target_index: int, gallery_feats: np.ndarray,
-                            size: int, id_order: np.ndarray) -> list:
-    """Nearest gallery neighbors of the target by cosine, target included.
+SUBSET_CHUNK = 256  # targets ranked at once
 
-    Ties broken by ascending gallery id; feats are any fixed per-image
-    descriptor (the harness uses mean-pooled tokens from a seed-initialized
-    encoder so subsets do not depend on the trained checkpoint).
+
+def visually_similar_subset(target_indices, gallery_feats: np.ndarray,
+                            size: int, id_order: np.ndarray) -> list:
+    """Nearest gallery neighbors of each target by cosine, target included.
+
+    Returns one sorted index list per target.  Ties broken by ascending
+    gallery id; feats are any fixed per-image descriptor (the harness uses
+    mean-pooled tokens from a seed-initialized encoder so subsets do not
+    depend on the trained checkpoint).  The gallery is cast and normalized
+    once for all targets.
     """
-    g = gallery_feats.shape[0]
-    size = min(size, g)
+    size = min(size, gallery_feats.shape[0])
     feats = gallery_feats.astype(np.float64)
     norms = np.maximum(np.linalg.norm(feats, axis=1), 1e-12)
-    sims = feats @ feats[target_index] / (norms * norms[target_index])
-    order = np.lexsort((id_order, -sims))
-    subset = [int(j) for j in order if j != target_index][: size - 1]
-    return sorted(subset + [int(target_index)])
+    subsets = []
+    for start in range(0, len(target_indices), SUBSET_CHUNK):
+        chunk = np.asarray(target_indices[start : start + SUBSET_CHUNK], dtype=np.int64)
+        sims = feats[chunk] @ feats.T / (norms[chunk, None] * norms)
+        # lexsort's last key is primary: descending cosine, then ascending id
+        order = np.lexsort((np.broadcast_to(id_order, sims.shape), -sims))[:, :size]
+        # per target, its first size-1 neighbors other than itself
+        subsets += [sorted(row[row != t][: size - 1].tolist() + [t])
+                    for t, row in zip(chunk.tolist(), order)]
+    return subsets
 
 
 def compute_metrics(scores: np.ndarray, target_indices, gallery_ids,

@@ -41,9 +41,6 @@ from .fusion import (
 from .layers import init_linear, linear
 from .tensor import ParameterSet, Tensor
 
-IMAGE_PREFIX = "image/"
-FUSION_PREFIX = "fusion/"
-
 
 def init_model_params(seed: int, cfg: TrainConfig, n_patches: int, patch_px: int,
                       channels: int, text_vocab_size: int, n_concepts: int,
@@ -70,10 +67,8 @@ def init_model_params(seed: int, cfg: TrainConfig, n_patches: int, patch_px: int
 
 
 def _mean_pool_segments(tokens, n_segments: int, seg_len: int):
-    picker = np.kron(
-        np.eye(n_segments, dtype=np.float32), np.full((1, seg_len), 1.0 / seg_len, np.float32)
-    )
-    return ag.matmul(ag.leaf(picker), tokens)
+    """n x d means of equal-length segments of (n*L) x d or (n, L, d) tokens."""
+    return ag.mean(ag.reshape(tokens, (n_segments, seg_len, tokens.shape[-1])), axis=1)
 
 
 def _visual_tokens(p, inputs, n_examples: int, seg_len: int, cfg: TrainConfig):
@@ -87,18 +82,21 @@ def _visual_tokens(p, inputs, n_examples: int, seg_len: int, cfg: TrainConfig):
     return all_tokens[:split], all_tokens[split:]
 
 
-def _fused_query(p, ref_tokens, q, word_feats, lengths, n_examples: int,
-                 seg_len: int, cfg: TrainConfig):
-    """Pooled query feature after K instantiated fusion steps."""
+def _query_feature(p, ref_tokens, q, word_feats, lengths, n_examples: int,
+                   seg_len: int, cfg: TrainConfig):
+    """(fused tokens, pooled query feature) after K instantiated fusion
+    steps; without fusion, (None, the pooled reference and q projected)."""
+    if cfg.remove_fusion:
+        _, ref_pooled = attention_pool_batch_node(p, ref_tokens, n_examples, seg_len)
+        return None, linear(p, "nofusion", ag.concat([ref_pooled, q], axis=1))
     indicators = fusion_sequence_batch_node(
         p, q, word_feats, lengths, cfg.k_steps, cfg.n_heads
     )
-    f = ref_tokens
+    f = ag.reshape(ref_tokens, (n_examples, seg_len, ref_tokens.shape[-1]))
     for step, s_i in enumerate(indicators):
         inst = instantiate_block_batch_node(p, s_i)
         f = fusion_step_batch_node(
-            p, f, inst, n_examples, seg_len, cfg.n_heads, step,
-            cfg.share_block_weights, cfg.plain_layer_norm,
+            p, f, inst, cfg.n_heads, step, cfg.share_block_weights, cfg.plain_layer_norm,
         )
     _, pooled = attention_pool_batch_node(p, f, n_examples, seg_len)
     return f, pooled
@@ -142,14 +140,7 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
         _, v = attention_pool_batch_node(p, tgt_tok, n_examples, seg_len)
 
         # query-side feature
-        if cfg.remove_fusion:
-            _, ref_pooled = attention_pool_batch_node(p, ref_tok, n_examples, seg_len)
-            u = linear(p, "nofusion", ag.concat([ref_pooled, q], axis=1))
-            fused = None
-        else:
-            fused, u = _fused_query(
-                p, ref_tok, q, word_feats, lengths, n_examples, seg_len, cfg
-            )
+        fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, n_examples, seg_len, cfg)
 
         score_mat = ag.matmul(l2_normalize_rows_node(u), ag.transpose(l2_normalize_rows_node(v)))
         if cfg.context_score_on and fused is not None:
@@ -204,13 +195,9 @@ def embed_queries(params: ParameterSet, ref_token_stack: np.ndarray,
     p = _params_to_nodes(params)
     ref_tok = ag.leaf(ref_token_stack)
     word_feats, q, lengths = encode_text_batch_node(p, "text", ids_batch, cfg.d)
-    if cfg.remove_fusion:
-        _, ref_pooled = attention_pool_batch_node(p, ref_tok, n_examples, seg_len)
-        u = linear(p, "nofusion", ag.concat([ref_pooled, q], axis=1))
-        return u.value.astype(np.float32), None
-    fused, u = _fused_query(p, ref_tok, q, word_feats, lengths, n_examples, seg_len, cfg)
+    fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, n_examples, seg_len, cfg)
     ctx = None
-    if cfg.context_score_on:
+    if cfg.context_score_on and fused is not None:
         ctx = _mean_pool_segments(fused, n_examples, seg_len).value.astype(np.float32)
     return u.value.astype(np.float32), ctx
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import NonFiniteError
 from .tensor import ParameterSet, Tensor
 
 CHECKPOINT_MAGIC = b"NCK1"
@@ -71,7 +72,9 @@ def adamw_step(
     Decay is applied to the parameter directly (p -= lr * wd * p), not
     mixed into the gradient.  Every path in ``params`` must appear in
     ``grads`` and in the state moments; extra grad/state paths are an
-    error too, so silent partial updates can't happen.
+    error too, so silent partial updates can't happen.  An update or a
+    moment that is not finite in float32 raises NonFiniteError naming the
+    parameter path.
     """
     missing_g = [p for p in params if p not in grads]
     extra_g = [p for p in grads if p not in params]
@@ -97,9 +100,10 @@ def adamw_step(
         v_hat = v / (1.0 - beta2**t)
         step_vec = lr * m_hat / (np.sqrt(v_hat) + eps)
         updated = p.data - step_vec - lr * weight_decay * p.data
-        new_p[path] = Tensor(updated)
-        new_m[path] = Tensor(m)
-        new_v[path] = Tensor(v)
+        try:  # Tensor rejects NaN and Inf, also after the cast to float32
+            new_p[path], new_m[path], new_v[path] = Tensor(updated), Tensor(m), Tensor(v)
+        except ValueError as e:
+            raise NonFiniteError(f"non-finite AdamW update for parameter {path!r}") from e
 
     # moments for paths outside this update (e.g. frozen parameters) carry over
     for path, t_m in state.m.items():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,11 +44,12 @@ EVAL_CHUNK = 32
 
 
 class NumericFailure(RuntimeError):
-    """Training produced a non-finite loss; carries the offending batch."""
+    """Training produced a non-finite value (loss, gradient or update);
+    carries the offending batch."""
 
     def __init__(self, epoch: int, batch_index: int, cause: str):
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch_index}: {cause}"
+            f"non-finite values at epoch {epoch}, batch {batch_index}: {cause}"
         )
         self.epoch = epoch
         self.batch_index = batch_index
@@ -182,9 +182,7 @@ def _encode_token_cache(params, dataset: Dataset, cfg: TrainConfig) -> dict:
         chunk = ids[start : start + EVAL_CHUNK]
         stack = np.concatenate([dataset.patches[i] for i in chunk])
         toks = encode_images_array(params, stack, len(chunk), cfg)
-        L = dataset.n_patches
-        for j, img_id in enumerate(chunk):
-            cache[img_id] = toks[j * L : (j + 1) * L]
+        cache.update(zip(chunk, np.split(toks, len(chunk))))
     return cache
 
 
@@ -275,16 +273,15 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
                     }
 
                 program = build_training_program(ids_batch, labels, n, L, cfg)
+                keep = trainable_predicate(frozen)
                 try:
                     outs, grads = forward_backward(program, inputs, params)
+                    updated, state = adamw_step(
+                        params.subset(keep), grads.subset(keep), state,
+                        lr=lr, weight_decay=cfg.weight_decay,
+                    )
                 except NonFiniteError as e:
                     raise NumericFailure(epoch, n_batches, str(e)) from e
-
-                keep = trainable_predicate(frozen)
-                updated, state = adamw_step(
-                    params.subset(keep), grads.subset(keep), state,
-                    lr=lr, weight_decay=cfg.weight_decay,
-                )
                 params = params.merge(updated)
 
                 sums["L_m"] += float(outs["L_m"].data)
@@ -354,8 +351,7 @@ def frozen_encoder_features(dataset: Dataset, cfg: TrainConfig, gallery_ids) -> 
         chunk = gallery_ids[start : start + EVAL_CHUNK]
         stack = np.concatenate([dataset.patches[i] for i in chunk])
         toks = encode_images_array(base, stack, len(chunk), cfg)
-        for j in range(len(chunk)):
-            feats[start + j] = toks[j * L : (j + 1) * L].mean(axis=0)
+        feats[start : start + len(chunk)] = toks.reshape(len(chunk), L, -1).mean(axis=1)
     return feats
 
 
@@ -382,8 +378,7 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
             ckpt.params, toks, len(chunk), L, cfg
         )
         if tgt_mean is not None:
-            for j in range(len(chunk)):
-                tgt_mean[start + j] = toks[j * L : (j + 1) * L].mean(axis=0)
+            tgt_mean[start : start + len(chunk)] = toks.reshape(len(chunk), L, -1).mean(axis=1)
 
     # query-side features
     text_index = {w: i for i, w in enumerate(ckpt.text_vocab)}
@@ -412,10 +407,10 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     else:
         feats = frozen_encoder_features(dataset, cfg, gallery_ids)
         id_order = np.argsort(np.argsort(np.asarray(gallery_ids, dtype=object)))
-        subset_of_target = {
-            t: visually_similar_subset(t, feats, cfg.subset_size, id_order)
-            for t in sorted(set(target_indices))
-        }
+        distinct = sorted(set(target_indices))
+        subset_of_target = dict(zip(
+            distinct, visually_similar_subset(distinct, feats, cfg.subset_size, id_order)
+        ))
         if subsets_cache is not None:
             subsets_cache[cache_key] = subset_of_target
     subsets = [subset_of_target[t] for t in target_indices]

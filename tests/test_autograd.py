@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,43 @@ def test_nonfinite_intermediate_diagnostic():
 
     with pytest.raises(ag.NonFiniteError, match="log"):
         ag.forward_backward(program, {}, ParameterSet({"x": Tensor([0.0])}))
+
+
+def test_nonfinite_gradient_names_parameter():
+    # d sqrt(x)/dx at 0 is inf: the forward value is finite, the gradient is not
+    def program(inputs, params):
+        return {"loss": ag.sum_(ag.sqrt(params["enc/w"]))}
+
+    with pytest.raises(ag.NonFiniteError, match="enc/w"):
+        ag.forward_backward(program, {}, ParameterSet({"enc/w": Tensor([0.0, 1.0])}))
+
+
+def test_graph_is_freed_without_the_collector():
+    """No node sits in a reference cycle: with the collector off, an
+    interior node dies as soon as the outputs are released."""
+
+    def program(inputs, params):
+        h = ag.tanh(ag.matmul(inputs["x"], params["w"]))
+        y = ag.softmax(ag.sigmoid(h) * h, axis=1)
+        refs.append(weakref.ref(h))
+        return {"y": y, "loss": ag.sum_(ag.sqrt(1.0 + y * y))}
+
+    x = Tensor(np.ones((3, 2), np.float32))
+    params = ParameterSet({"w": Tensor(np.full((2, 4), 0.5, np.float32))})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = []
+        outs, grads = ag.forward_backward(program, {"x": x}, params)
+        assert refs[0]() is None
+        refs = []
+        outs, nodes = ag.run_program(program, {"x": x}, params)
+        assert refs[0]() is not None
+        del outs, nodes
+        assert refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_argmax_is_rejected():
@@ -188,6 +228,15 @@ def test_grad_check_every_primitive():
         },
         "slice": lambda i, p: {"loss": ag.sum_(p["p0"][1:3, :2] * ag.leaf(rng_sl))},
         "transpose": lambda i, p: {"loss": ag.sum_(ag.transpose(p["p0"]) * ag.leaf(rng_w.T))},
+        "matmul_batched": lambda i, p: {
+            "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm))
+        },
+        "matmul_shared": lambda i, p: {
+            "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm))
+        },
+        "transpose_batched": lambda i, p: {
+            "loss": ag.sum_(ag.transpose(p["p0"]) * ag.leaf(rng_bt))
+        },
     }
 
     rng = np.random.default_rng(42)
@@ -196,11 +245,19 @@ def test_grad_check_every_primitive():
     rng_col = rng.normal(size=(4,)).astype(np.float32)
     rng_cat = rng.normal(size=(4, 6)).astype(np.float32)
     rng_sl = rng.normal(size=(2, 2)).astype(np.float32)
+    rng_bmm = rng.normal(size=(2, 4, 2)).astype(np.float32)
+    rng_bt = rng.normal(size=(2, 3, 4)).astype(np.float32)
 
     two_param = {"add", "sub", "mul", "div", "concat"}
     for name, build in cases.items():
         if name == "matmul":
             shapes = [(4, 3), (3, 2)]
+        elif name == "matmul_batched":
+            shapes = [(2, 4, 3), (2, 3, 2)]
+        elif name == "matmul_shared":
+            shapes = [(2, 4, 3), (3, 2)]
+        elif name == "transpose_batched":
+            shapes = [(2, 4, 3)]
         elif name in two_param:
             shapes = [shape_a, shape_b]
         else:
@@ -260,3 +317,18 @@ def test_variance_matches_numpy_population():
     x = rng.normal(size=(3, 8)).astype(np.float32)
     v = ag.variance(ag.leaf(x), axis=1).value
     np.testing.assert_allclose(v, x.var(axis=1), rtol=1e-5)
+
+
+def test_batched_matmul_shapes_and_errors():
+    a = ag.leaf(np.ones((2, 4, 3), np.float32))
+    assert ag.matmul(a, ag.leaf(np.ones((2, 3, 5), np.float32))).shape == (2, 4, 5)
+    assert ag.matmul(a, ag.leaf(np.ones((3, 5), np.float32))).shape == (2, 4, 5)
+    assert ag.transpose(a).shape == (2, 3, 4)
+    with pytest.raises(ag.ShapeError, match="batch sizes"):
+        ag.matmul(a, ag.leaf(np.ones((3, 3, 5), np.float32)))
+    with pytest.raises(ag.ShapeError, match="inner"):
+        ag.matmul(a, ag.leaf(np.ones((4, 5), np.float32)))
+    with pytest.raises(ag.ShapeError):
+        ag.matmul(ag.leaf(np.ones((4, 3), np.float32)), ag.leaf(np.ones((2, 3, 5), np.float32)))
+    with pytest.raises(ag.ShapeError):
+        ag.transpose(ag.leaf(np.ones(3, np.float32)))

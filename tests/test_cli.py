@@ -1,6 +1,7 @@
 """Command-line surface: argument plumbing, config parsing, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,19 @@ def test_generate_data_writes_layout(data_dir, capsys):
     assert (data_dir / "train.jsonl").exists()
     assert (data_dir / "meta.json").exists()
     assert len(read_jsonl(data_dir / "train.jsonl")) == 40
+
+
+def test_generate_data_without_holdout_colors(tmp_path, capsys):
+    out = tmp_path / "plain"
+    code = main(["generate-data", "--out", str(out), "--n-train", "4", "--n-val", "2",
+                 "--seed", "1"])
+    assert code == 0
+    written = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert sorted(written) == ["index", "store", "train", "val"]
+    assert all(Path(path).is_file() for path in written.values())
+    assert (out / "meta.json").is_file()
+    assert len(read_jsonl(out / "train.jsonl")) == 4
+    assert len(read_jsonl(out / "val.jsonl")) == 2
 
 
 def test_train_writes_checkpoint_and_log(run_dir, capsys):
@@ -170,3 +184,16 @@ def test_exit_4_on_numeric_failure(data_dir, tmp_path, capsys):
                  "--set", "batch_size=8", "--set", "freeze_epochs=0"])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_exit_4_on_overflowing_update(data_dir, tmp_path, capsys):
+    """An lr past float32 range overflows the first AdamW update: exit 4,
+    with the parameter path in the message, not a traceback."""
+    code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "x"),
+                 "--seed", "0", "--quiet", "--set", "lr=1e39",
+                 "--set", "epochs=1", "--set", "d=16", "--set", "k_steps=2",
+                 "--set", "batch_size=8", "--set", "freeze_epochs=0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err
+    assert "AdamW update for parameter" in err

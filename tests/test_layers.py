@@ -6,7 +6,6 @@ import pytest
 from ccir import autograd as ag
 from ccir.layers import (
     attention_core,
-    block_diag_mask,
     ffn,
     gru_step,
     init_ffn,
@@ -18,6 +17,7 @@ from ccir.layers import (
     layer_norm,
     linear,
     mha,
+    pad_segments,
     pair_attention_core,
     segment_softmax_pool,
     silu,
@@ -34,6 +34,28 @@ def np_softmax(z, axis=-1):
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def np_block_diag_mask(lengths):
+    """(L x L), L = sum(lengths): 0 inside each diagonal block, -1e9 elsewhere."""
+    total = int(sum(lengths))
+    mask = np.full((total, total), -1e9, dtype=np.float32)
+    start = 0
+    for n in lengths:
+        mask[start : start + n, start : start + n] = 0.0
+        start += n
+    return mask
+
+
+def np_masked_attention(q, k, v, heads, mask):
+    """Dense attention over stacked 2-D rows with an additive -1e9 mask:
+    every score is formed, the masked ones are thrown away."""
+    dh = q.shape[1] // heads
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    return np.concatenate(
+        [np_softmax(q[:, c] @ k[:, c].T / np.sqrt(dh) + mask, axis=1) @ v[:, c] for c in cols],
+        axis=1,
+    )
 
 
 def test_uniform_init_range_and_dtype():
@@ -98,30 +120,58 @@ def test_attention_rejects_indivisible_heads():
         attention_core(x, x, x, n_heads=2)
 
 
-def test_block_diag_mask_exact():
-    m = block_diag_mask([2, 1])
-    want = np.array(
-        [[0, 0, -1e9], [0, 0, -1e9], [-1e9, -1e9, 0]], dtype=np.float32
-    )
-    assert np.array_equal(m, want)
+def test_pad_segments_exact():
+    rows = ag.leaf(np.arange(3, dtype=np.float32)[:, None])
+    padded, mask = pad_segments(rows, [2, 1])
+    want = np.array([[[0, 0]], [[0, -1e9]]], dtype=np.float32)
+    assert np.array_equal(mask, want)
+    # the padding repeats the example's last row
+    assert np.array_equal(padded.value[..., 0], [[0, 1], [2, 2]])
 
 
 def test_masked_attention_isolates_segments():
-    """Shuffling one segment must not leak into the other's outputs."""
+    """Unequal segments padded to (n, T) keys: shuffling one segment must
+    not leak into the other's outputs."""
     rng = np.random.default_rng(5)
     d = 4
     a = rng.normal(size=(3, d)).astype(np.float32)
     b = rng.normal(size=(2, d)).astype(np.float32)
-    mask = block_diag_mask([3, 2])
 
     def run(second):
-        x = ag.leaf(np.concatenate([a, second]))
-        return attention_core(x, x, x, 2, extra_scores=ag.leaf(mask)).value
+        x, mask = pad_segments(ag.leaf(np.concatenate([a, second])), [3, 2])
+        return attention_core(x, x, x, 2, mask).value
 
     out1 = run(b)
     out2 = run(b[::-1].copy())
-    assert np.allclose(out1[:3], out2[:3], atol=1e-6)
-    assert not np.allclose(out1[3:], out2[3:], atol=1e-4)
+    assert np.allclose(out1[0], out2[0], atol=1e-6)
+    assert not np.allclose(out1[1, :2], out2[1, :2], atol=1e-4)
+
+
+def test_batched_attention_matches_dense_masked_oracle():
+    """Attention on (n, L, d) equals dense attention over the (n*L) stack
+    with a block-diagonal -1e9 mask; with padded keys it equals the same
+    oracle over the unpadded rows."""
+    rng = np.random.default_rng(13)
+    n, L, d, heads = 3, 4, 6, 3
+    q, k, v = (rng.normal(size=(n, L, d)).astype(np.float32) for _ in range(3))
+    got = attention_core(*(ag.leaf(a) for a in (q, k, v)), heads).value
+    want = np_masked_attention(*(a.reshape(n * L, d) for a in (q, k, v)), heads,
+                               np_block_diag_mask([L] * n))
+    assert np.allclose(got.reshape(n * L, d), want, atol=1e-5)
+
+    lengths = [4, 1, 3]
+    _, mask = pad_segments(ag.leaf(np.zeros((sum(lengths), 1), np.float32)), lengths)
+    got = attention_core(*(ag.leaf(a) for a in (q, k, v)), heads, mask).value
+    # each query row takes the block row of its example's first key
+    starts = np.cumsum(lengths) - lengths
+    want = np_masked_attention(
+        q.reshape(n * L, d),
+        np.concatenate([k[i, :m] for i, m in enumerate(lengths)]),
+        np.concatenate([v[i, :m] for i, m in enumerate(lengths)]),
+        heads,
+        np_block_diag_mask(lengths)[np.repeat(starts, L)],
+    )
+    assert np.allclose(got.reshape(n * L, d), want, atol=1e-5)
 
 
 def test_pair_attention_matches_masked_attention():
@@ -135,8 +185,7 @@ def test_pair_attention_matches_masked_attention():
     mask = np.full((n, 2 * n), -1e9, dtype=np.float32)
     mask[np.arange(n), np.arange(n)] = 0.0
     mask[np.arange(n), n + np.arange(n)] = 0.0
-    want = attention_core(ag.leaf(q), ag.leaf(np.concatenate([k, kp])),
-                          ag.leaf(np.concatenate([v, vp])), heads, mask).value
+    want = np_masked_attention(q, np.concatenate([k, kp]), np.concatenate([v, vp]), heads, mask)
     assert np.allclose(got, want, atol=1e-5)
     # a row that is its own partner copies its value
     same = pair_attention_core(*(ag.leaf(a) for a in (q, k, v, k, v)), heads).value
@@ -240,3 +289,7 @@ def test_segment_softmax_pool_matches_per_segment_oracle():
         assert np.allclose(pooled.value[i], w @ toks[seg], atol=1e-5)
     sums = w_flat.value.reshape(n, L).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-6)
+    # the same segments given as (n, L, d) pool the same way
+    w3, pooled3 = segment_softmax_pool(ag.leaf(toks.reshape(n, L, d)), ag.leaf(logits), n, L)
+    assert np.allclose(w3.value, w_flat.value, atol=1e-6)
+    assert np.allclose(pooled3.value, pooled.value, atol=1e-6)

@@ -96,7 +96,7 @@ def test_visually_similar_subset_contains_target_and_neighbors():
     feats = rng.normal(size=(20, 8)).astype(np.float32)
     feats[7] = feats[3] + 0.01 * rng.normal(size=8)  # near-duplicate pair
     id_order = np.arange(20)
-    sub = visually_similar_subset(3, feats, 6, id_order)
+    (sub,) = visually_similar_subset([3], feats, 6, id_order)
     assert len(sub) == 6
     assert 3 in sub
     assert 7 in sub  # closest cosine neighbor must be included
@@ -106,8 +106,34 @@ def test_visually_similar_subset_contains_target_and_neighbors():
 def test_visually_similar_subset_caps_at_gallery():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(4, 5)).astype(np.float32)
-    sub = visually_similar_subset(1, feats, 6, np.arange(4))
+    (sub,) = visually_similar_subset([1], feats, 6, np.arange(4))
     assert sorted(sub) == [0, 1, 2, 3]
+
+
+def _one_target_subset(target_index, gallery_feats, size, id_order):
+    """Per-target oracle: one cosine row and one full lexsort per target."""
+    g = gallery_feats.shape[0]
+    size = min(size, g)
+    feats = gallery_feats.astype(np.float64)
+    norms = np.maximum(np.linalg.norm(feats, axis=1), 1e-12)
+    sims = feats @ feats[target_index] / (norms * norms[target_index])
+    order = np.lexsort((id_order, -sims))
+    subset = [int(j) for j in order if j != target_index][: size - 1]
+    return sorted(subset + [int(target_index)])
+
+
+def test_visually_similar_subset_matches_per_target_oracle():
+    rng = np.random.default_rng(9)
+    feats = rng.normal(size=(300, 16)).astype(np.float32)
+    feats[40] = feats[12]          # an exact tie: equal cosine to every target
+    feats[41] = 2.0 * feats[12]    # and a scaled copy, the same direction
+    id_order = rng.permutation(300)
+    targets = [12, 40, 41, 0, 299] + rng.choice(300, size=300, replace=False).tolist()
+    got = visually_similar_subset(targets, feats, 7, id_order)
+    assert got == [_one_target_subset(t, feats, 7, id_order) for t in targets]
+    # three equal candidates for one place: the lowest gallery id wins
+    (sub,) = visually_similar_subset([3], feats[[12, 12, 12, 0]], 2, np.array([2, 0, 1, 3]))
+    assert sub == [1, 3]
 
 
 def test_compute_metrics_with_subsets_end_to_end():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccir.autograd import evaluate_program, forward_backward
+from ccir.autograd import forward_backward, run_program as run_graph
 from ccir.config import TrainConfig
 from ccir.data import DataConfig, generate_triplet, render_scene
 from ccir.encoders import patchify
@@ -70,12 +70,12 @@ def test_token_cache_path_matches_patch_path():
     cfg, params, ids, labels, ref, tgt = make_batch()
     n, L = 4, D_CFG.n_cells
     program = build_training_program(ids, labels, n, L, cfg)
-    full = evaluate_program(program, {"patches": np.concatenate([ref, tgt])}, params)
+    full, _ = run_graph(program, {"patches": np.concatenate([ref, tgt])}, params)
     ref_tok = encode_images_array(params, ref, n, cfg)
     tgt_tok = encode_images_array(params, tgt, n, cfg)
-    cached = evaluate_program(program, {"ref_tokens": ref_tok, "tgt_tokens": tgt_tok}, params)
-    assert np.allclose(full["loss"].data, cached["loss"].data, atol=1e-5)
-    assert np.allclose(full["scores"].data, cached["scores"].data, atol=1e-5)
+    cached, _ = run_graph(program, {"ref_tokens": ref_tok, "tgt_tokens": tgt_tok}, params)
+    assert np.allclose(full["loss"].value, cached["loss"].value, atol=1e-5)
+    assert np.allclose(full["scores"].value, cached["scores"].value, atol=1e-5)
 
 
 def test_remove_concept_module_drops_alignment():
@@ -158,14 +158,14 @@ def test_train_eval_parity_on_scores():
     cfg, params, ids, labels, ref, tgt = make_batch()
     n, L = 4, D_CFG.n_cells
     program = build_training_program(ids, labels, n, L, cfg)
-    outs = evaluate_program(program, {"patches": np.concatenate([ref, tgt])}, params)
+    outs, _ = run_graph(program, {"patches": np.concatenate([ref, tgt])}, params)
     ref_tok = encode_images_array(params, ref, n, cfg)
     tgt_tok = encode_images_array(params, tgt, n, cfg)
     v = embed_targets(params, tgt_tok, n, L, cfg)
     u, ctx = embed_queries(params, ref_tok, ids, n, L, cfg)
     assert ctx is None
     scores = l2_normalize_rows(u) @ l2_normalize_rows(v).T
-    assert np.allclose(scores, outs["scores"].data, atol=1e-5)
+    assert np.allclose(scores, outs["scores"].value, atol=1e-5)
 
 
 def test_alignment_pass_weights_partition():
