@@ -9,6 +9,10 @@ its own softmax of token . concept-row logits and scores it by the
 attention-weighted logit.  An asymmetric multi-label loss that softens the
 many uncertain negatives trains the scores.  The attention-pool head
 (``pool/*``) belongs to retrieval and is not used here.
+
+The graph builders work on a whole batch, with tokens as (n, L, d).
+``attention_pool``, ``alignment_scores`` and ``asymmetric_loss`` are
+single-example numpy references for tests.
 """
 
 from __future__ import annotations
@@ -26,25 +30,12 @@ from .layers import (
     layer_norm,
     linear,
     pair_attention_core,
-    segment_softmax_pool,
 )
 from .tensor import ParameterSet, Tensor
 
+JOINT_PREFIX = "joint"
+POOL_PREFIX = "pool"
 JOINT_LAYERS = 2
-
-
-@dataclass
-class JointTokens:
-    """Contextualized [reference rows; target rows] with the split index."""
-
-    tokens: np.ndarray
-    boundary: int
-
-    def __post_init__(self):
-        if not 0 < self.boundary < self.tokens.shape[0]:
-            raise ValueError(
-                f"boundary {self.boundary} outside (0, {self.tokens.shape[0]})"
-            )
 
 
 @dataclass
@@ -99,13 +90,13 @@ class ConceptLabelVector:
 # ---------------------------------------------------------------------------
 
 
-def init_joint_transformer(rng, params: dict, d: int, prefix: str = "joint") -> None:
+def init_joint_transformer(rng, params: dict, d: int) -> None:
     for i in range(JOINT_LAYERS):
-        init_transformer_layer(rng, params, f"{prefix}/l{i}", d)
+        init_transformer_layer(rng, params, f"{JOINT_PREFIX}/l{i}", d)
 
 
-def init_attention_pool(rng, params: dict, d: int, prefix: str = "pool") -> None:
-    init_linear(rng, params, prefix, d, 1)
+def init_attention_pool(rng, params: dict, d: int) -> None:
+    init_linear(rng, params, POOL_PREFIX, d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +104,7 @@ def init_attention_pool(rng, params: dict, d: int, prefix: str = "pool") -> None
 # ---------------------------------------------------------------------------
 
 
-def _paired_layers(p, x, partner, n_heads: int, prefix: str):
+def _paired_layers(p, x, partner, n_heads: int):
     """Pre-norm transformer layers whose attention is restricted to pairs.
 
     x: (n, B, d).  ``partner(node)`` returns the node with every token
@@ -121,7 +112,7 @@ def _paired_layers(p, x, partner, n_heads: int, prefix: str):
     partner.
     """
     for i in range(JOINT_LAYERS):
-        lp = f"{prefix}/l{i}"
+        lp = f"{JOINT_PREFIX}/l{i}"
         h = layer_norm(p, lp + "/ln1", x)
         q, k, v = (linear(p, f"{lp}/attn/{name}", h) for name in ("q", "k", "v"))
         att = pair_attention_core(q, k, v, partner(k), partner(v), n_heads)
@@ -130,41 +121,34 @@ def _paired_layers(p, x, partner, n_heads: int, prefix: str):
     return x
 
 
-def joint_encode_batch_node(p, ref_stack, tgt_stack, n_examples: int, n_heads: int,
-                            prefix: str = "joint"):
+def joint_encode_batch_node(p, ref_tokens, tgt_tokens, n_heads: int):
     """Contextualize cell-paired reference and target tokens.
 
-    ref_stack, tgt_stack: (n*L) x d, example-major, with the grid cells in
-    the same order in both images.  Each token attends only to itself and
-    to the same cell of the other image.  Returns (n, 2L, d) with each
-    example's reference cells first.
+    ref_tokens, tgt_tokens: (n, L, d), with the grid cells in the same
+    order in both images.  Each token attends only to itself and to the
+    same cell of the other image.  Returns (n, 2L, d) with each example's
+    reference cells first.
     """
-    if ref_stack.shape != tgt_stack.shape:
+    if ref_tokens.shape != tgt_tokens.shape:
         raise ag.ShapeError(
-            f"joint encode: cell-paired stacks differ, {ref_stack.shape} vs {tgt_stack.shape}"
+            f"joint encode: cell-paired tokens differ, {ref_tokens.shape} vs {tgt_tokens.shape}"
         )
-    rows, d = ref_stack.shape
-    if rows % n_examples:
-        raise ag.ShapeError(f"joint encode: {rows} rows not divisible by {n_examples} examples")
-    seg_len = rows // n_examples
+    seg_len = ref_tokens.shape[1]
 
     def swap_images(t):
         return ag.concat([t[:, seg_len:], t[:, :seg_len]], axis=1)
 
-    pair = [ag.reshape(s, (n_examples, seg_len, d)) for s in (ref_stack, tgt_stack)]
-    return _paired_layers(p, ag.concat(pair, axis=1), swap_images, n_heads, prefix)
+    x = ag.concat([ref_tokens, tgt_tokens], axis=1)
+    return _paired_layers(p, x, swap_images, n_heads)
 
 
-def encode_tokens_batch_node(p, stack, n_examples: int, n_heads: int,
-                             prefix: str = "joint"):
-    """The same layers over one image's tokens; returns (n, L, d).
+def encode_tokens_batch_node(p, tokens, n_heads: int):
+    """The same layers over one image's (n, L, d) tokens; returns (n, L, d).
 
     With no second image a token's only partner is itself, so each token
     attends to itself alone.
     """
-    rows, d = stack.shape
-    x = ag.reshape(stack, (n_examples, rows // n_examples, d))
-    return _paired_layers(p, x, lambda t: t, n_heads, prefix)
+    return _paired_layers(p, tokens, lambda t: t, n_heads)
 
 
 def concept_mil_node(bags, table):
@@ -194,18 +178,14 @@ def mean_concept_map(att: np.ndarray, concept_mask: np.ndarray) -> np.ndarray:
     return np.einsum("nbc,nc->nb", np.asarray(att, dtype=np.float64), mask)
 
 
-def attention_pool_batch_node(p, tokens, n_examples: int, seg_len: int,
-                              prefix: str = "pool"):
-    """(weights (n*L) x 1, pooled n x d) for equal-length segments, given
-    as an (n*L) x d stack or as (n, L, d)."""
-    logits = linear(p, prefix, tokens)
-    return segment_softmax_pool(tokens, logits, n_examples, seg_len)
+def attention_pool_batch_node(p, tokens):
+    """Softmax-attention pooling of each example's (n, L, d) tokens.
 
-
-def alignment_scores_node(pooled, table):
-    """Raw dot products against every concept row; pooled: n x d."""
-    s = ag.matmul(pooled, ag.transpose(table))
-    return s, ag.sigmoid(s)
+    One logit per token, softmax over each example's L tokens.  Returns
+    (weights (n, L, 1), pooled n x d).
+    """
+    w = ag.softmax(linear(p, POOL_PREFIX, tokens), axis=1)
+    return w, ag.sum_(tokens * w, axis=1)
 
 
 def asymmetric_loss_node(s_logits, labels: np.ndarray, beta_plus: float,
@@ -236,23 +216,15 @@ def asymmetric_loss_node(s_logits, labels: np.ndarray, beta_plus: float,
 
 
 # ---------------------------------------------------------------------------
-# numpy-side API (single example, forward only)
+# single-example references (numpy in, numpy out)
 # ---------------------------------------------------------------------------
 
 
-def joint_encode(f_r: np.ndarray, f_t: np.ndarray, params: ParameterSet,
-                 n_heads: int = 2, prefix: str = "joint") -> JointTokens:
-    p = {k: ag.leaf(v) for k, v in params.items()}
-    node = joint_encode_batch_node(p, ag.leaf(f_r), ag.leaf(f_t), 1, n_heads, prefix)
-    return JointTokens(node.value[0].astype(np.float32), boundary=f_r.shape[0])
-
-
-def attention_pool(tokens: np.ndarray, params: ParameterSet,
-                   prefix: str = "pool") -> AttentionPooling:
+def attention_pool(tokens: np.ndarray, params: ParameterSet) -> AttentionPooling:
     if tokens.ndim != 2 or tokens.shape[0] < 1:
         raise ValueError(f"need a non-empty L x d token matrix, got {tokens.shape}")
     p = {k: ag.leaf(v) for k, v in params.items()}
-    w, pooled = attention_pool_batch_node(p, ag.leaf(tokens), 1, tokens.shape[0], prefix)
+    w, pooled = attention_pool_batch_node(p, ag.leaf(tokens[None]))
     return AttentionPooling(
         weights=w.value.reshape(-1).astype(np.float32),
         pooled=pooled.value[0].astype(np.float32),

@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         ckpt = Checkpoint.load(args.checkpoint)
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, DataError) as e:
         print(f"data error: cannot load checkpoint {args.checkpoint}: {e}", file=sys.stderr)
         return EXIT_DATA
     try:
@@ -195,7 +195,7 @@ def cmd_align_viz(args) -> int:
     try:
         ckpt = Checkpoint.load(args.checkpoint)
         dataset = load_dataset(args.data)
-    except (OSError, KeyError, ValueError, DataError) as e:
+    except (OSError, DataError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     rec = next((r for r in dataset.train + dataset.val if r["id"] == args.triplet), None)
@@ -204,8 +204,8 @@ def cmd_align_viz(args) -> int:
         return EXIT_DATA
     try:
         out = export_alignment_heatmap(ckpt, rec, args.concept, dataset, args.out)
-    except KeyError as e:
-        print(f"data error: {e.args[0]}", file=sys.stderr)
+    except DataError as e:
+        print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK

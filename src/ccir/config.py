@@ -26,7 +26,6 @@ class TrainConfig:
     seed: int = 0
     # supervision
     pos_classes: frozenset = field(default_factory=lambda: frozenset({"noun", "adj", "verb", "adv"}))
-    concepts_trainable: bool = True
     word_vector_file: str | None = None
     # evaluation
     eval_every: int = 1
@@ -80,6 +79,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         kwargs = dict(data)
         if "pos_classes" in kwargs:
             kwargs["pos_classes"] = frozenset(kwargs["pos_classes"])

@@ -5,13 +5,13 @@ text encoder is a bidirectional GRU whose per-position states give
 contextualized word features and whose final states give the sentence
 feature.  Both share the model width d.  Concept embeddings are one
 trainable row per vocabulary entry, optionally seeded from a word-vector
-text file ("word v1 ... vd" per line).
+text file ("word v1 ... vd" per line).  The encoders are graph builders
+over a whole batch; image tokens are (n, L, d).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,38 +25,13 @@ from .layers import (
     transformer_layer,
     uniform_init,
 )
-from .tensor import ParameterSet, Tensor
+from .tensor import Tensor
 
+IMAGE_PREFIX = "image"
+TEXT_PREFIX = "text"
+CONCEPT_PREFIX = "concepts"
 UNK_ID = 0
 UNK_WORD = "<unk>"
-
-
-@dataclass
-class VisualTokens:
-    """L x d token matrix for one image."""
-
-    tokens: np.ndarray
-
-    def __post_init__(self):
-        if self.tokens.ndim != 2:
-            raise ValueError(f"tokens must be 2-D, got shape {self.tokens.shape}")
-        if not np.isfinite(self.tokens).all():
-            raise ValueError("non-finite visual tokens")
-
-
-@dataclass
-class TextEncoding:
-    """Sentence feature q (d,), word features t (L_w x d), and the ids."""
-
-    q: np.ndarray
-    t: np.ndarray
-    word_ids: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.t.shape[0] != len(self.word_ids):
-            raise ValueError("one row of t per word id required")
-        if self.q.shape[-1] != self.t.shape[1]:
-            raise ValueError("q and t must share width")
 
 
 def validate_image(image: np.ndarray) -> np.ndarray:
@@ -87,40 +62,20 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 
 
 def init_image_encoder(rng, params: dict, d: int, patch: int, channels: int,
-                       n_patches: int, prefix: str = "image") -> None:
+                       n_patches: int) -> None:
     patch_dim = patch * patch * channels
-    init_linear(rng, params, prefix + "/patch", patch_dim, d)
-    params[prefix + "/pos"] = uniform_init(rng, d, (n_patches, d))
-    init_transformer_layer(rng, params, prefix + "/enc", d)
+    init_linear(rng, params, IMAGE_PREFIX + "/patch", patch_dim, d)
+    params[IMAGE_PREFIX + "/pos"] = uniform_init(rng, d, (n_patches, d))
+    init_transformer_layer(rng, params, IMAGE_PREFIX + "/enc", d)
 
 
-def encode_image_batch_node(p, prefix: str, patches, n_heads: int, n_images: int):
-    """Encode ``n_images`` stacked patch matrices in one graph pass.
+def encode_image_batch_node(p, patches, n_heads: int):
+    """Encode (n, L, patch_dim) patch matrices into (n, L, d) tokens.
 
-    patches: (n_images*L) x patch_dim node or array.  The tokens run
-    through the layer as (n_images, L, d), so each image attends only to
-    its own patches.  Returns the (n_images*L) x d stack.
+    Each image attends only to its own patches.
     """
-    if not isinstance(patches, ag.Node):
-        patches = ag.leaf(patches)
-    total = patches.shape[0]
-    if total % n_images:
-        raise ValueError(f"{total} patch rows not divisible by {n_images} images")
-    per = total // n_images
-    x = linear(p, prefix + "/patch", patches)
-    d = x.shape[1]
-    x = ag.reshape(x, (n_images, per, d)) + p[prefix + "/pos"]
-    x = transformer_layer(p, prefix + "/enc", x, n_heads)
-    return ag.reshape(x, (total, d))
-
-
-def encode_image(image: np.ndarray, params: ParameterSet, patch: int,
-                 n_heads: int = 2, prefix: str = "image") -> VisualTokens:
-    """Forward-only convenience wrapper for a single image."""
-    mats = patchify(image, patch)
-    p = {k: ag.leaf(v) for k, v in params.items()}
-    node = encode_image_batch_node(p, prefix, mats, n_heads, 1)
-    return VisualTokens(node.value.astype(np.float32))
+    x = linear(p, IMAGE_PREFIX + "/patch", patches) + p[IMAGE_PREFIX + "/pos"]
+    return transformer_layer(p, IMAGE_PREFIX + "/enc", x, n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +100,18 @@ def words_to_ids(words, vocab_index: dict) -> list[int]:
     return [vocab_index.get(w, UNK_ID) for w in words]
 
 
-def save_vocab(path, vocab: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for w in vocab:
-            fh.write(w + "\n")
-
-
-def load_vocab(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        vocab = [line.rstrip("\n") for line in fh if line.strip()]
-    if not vocab or vocab[0] != UNK_WORD:
-        raise ValueError(f"vocabulary file must start with {UNK_WORD!r}")
-    return vocab
-
-
-def init_text_encoder(rng, params: dict, vocab_size: int, d: int, prefix: str = "text") -> None:
+def init_text_encoder(rng, params: dict, vocab_size: int, d: int) -> None:
     if d % 2:
         raise ValueError(f"text encoder width must be even, got {d}")
     hidden = d // 2
-    params[prefix + "/embed"] = uniform_init(rng, d, (vocab_size, d))
-    init_gru(rng, params, prefix + "/fwd", d, hidden)
-    init_gru(rng, params, prefix + "/bwd", d, hidden)
-    init_linear(rng, params, prefix + "/tproj", 2 * hidden, d)
-    init_linear(rng, params, prefix + "/qproj", 2 * hidden, d)
+    params[TEXT_PREFIX + "/embed"] = uniform_init(rng, d, (vocab_size, d))
+    init_gru(rng, params, TEXT_PREFIX + "/fwd", d, hidden)
+    init_gru(rng, params, TEXT_PREFIX + "/bwd", d, hidden)
+    init_linear(rng, params, TEXT_PREFIX + "/tproj", 2 * hidden, d)
+    init_linear(rng, params, TEXT_PREFIX + "/qproj", 2 * hidden, d)
 
 
-def encode_text_batch_node(p, prefix: str, ids_batch: list, d: int):
+def encode_text_batch_node(p, ids_batch: list, d: int):
     """Bidirectional recurrent encoding of a batch of id sequences.
 
     Returns (word_feats (sum L_w) x d ordered example-major, q_feats N x d,
@@ -190,7 +131,7 @@ def encode_text_batch_node(p, prefix: str, ids_batch: list, d: int):
         padded[: len(ids), i] = ids
         live[: len(ids), i, 0] = 1.0
 
-    emb_all = ag.gather_rows(p[prefix + "/embed"], padded.reshape(-1))
+    emb_all = ag.gather_rows(p[TEXT_PREFIX + "/embed"], padded.reshape(-1))
     zeros = ag.leaf(np.zeros((n, hidden), dtype=np.float32))
 
     def run(direction: str, order):
@@ -199,7 +140,7 @@ def encode_text_batch_node(p, prefix: str, ids_batch: list, d: int):
         for t in order:
             x_t = emb_all[t * n : (t + 1) * n]
             mask = live[t]
-            h = ag.leaf(mask) * gru_step(p, prefix + "/" + direction, x_t, h) + ag.leaf(
+            h = ag.leaf(mask) * gru_step(p, TEXT_PREFIX + "/" + direction, x_t, h) + ag.leaf(
                 1.0 - mask
             ) * h
             states[t] = h
@@ -213,23 +154,9 @@ def encode_text_batch_node(p, prefix: str, ids_batch: list, d: int):
     bwd_stack = ag.concat(bwd_states, axis=0)
     wf = ag.gather_rows(fwd_stack, valid_rows)
     wb = ag.gather_rows(bwd_stack, valid_rows)
-    word_feats = linear(p, prefix + "/tproj", ag.concat([wf, wb], axis=1))
-    q_feats = linear(p, prefix + "/qproj", ag.concat([fwd_final, bwd_final], axis=1))
+    word_feats = linear(p, TEXT_PREFIX + "/tproj", ag.concat([wf, wb], axis=1))
+    q_feats = linear(p, TEXT_PREFIX + "/qproj", ag.concat([fwd_final, bwd_final], axis=1))
     return word_feats, q_feats, lengths
-
-
-def encode_text(word_ids, params: ParameterSet, d: int, prefix: str = "text") -> TextEncoding:
-    """Forward-only convenience wrapper for one sentence."""
-    ids = list(word_ids)
-    vocab_size = params[prefix + "/embed"].shape[0]
-    ids = [i if 0 <= i < vocab_size else UNK_ID for i in ids]
-    p = {k: ag.leaf(v) for k, v in params.items()}
-    t_node, q_node, _ = encode_text_batch_node(p, prefix, [ids], d)
-    return TextEncoding(
-        q=q_node.value[0].astype(np.float32),
-        t=t_node.value.astype(np.float32),
-        word_ids=ids,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +164,8 @@ def encode_text(word_ids, params: ParameterSet, d: int, prefix: str = "text") ->
 # ---------------------------------------------------------------------------
 
 
-def init_concept_table(rng, params: dict, n_concepts: int, d: int,
-                       prefix: str = "concepts") -> None:
-    params[prefix + "/table"] = uniform_init(rng, d, (n_concepts, d))
-
-
-def embed_concept(table, concept_id: int) -> np.ndarray:
-    """Row lookup; raises IndexError for ids outside the vocabulary."""
-    arr = table.data if isinstance(table, Tensor) else np.asarray(table)
-    if not 0 <= concept_id < arr.shape[0]:
-        raise IndexError(f"concept id {concept_id} outside table of {arr.shape[0]} rows")
-    return arr[concept_id].copy()
+def init_concept_table(rng, params: dict, n_concepts: int, d: int) -> None:
+    params[CONCEPT_PREFIX + "/table"] = uniform_init(rng, d, (n_concepts, d))
 
 
 def load_word_vectors(path, d: int) -> dict[str, np.ndarray]:

@@ -6,12 +6,13 @@ step: four generator heads map the indicator to the scale/shift pairs of
 the block's two normalization sites, while the block's attention and
 feed-forward weights stay shared across steps.  Iterating the block K
 times from the raw reference tokens yields the fused query feature.
+
+The graph builders work on a whole batch, with tokens as (n, L, d);
+``adaptive_norm`` and ``batch_classification_loss`` are float64 numpy
+references for tests.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,39 +29,11 @@ from .layers import (
     mha,
     pad_segments,
 )
-from .tensor import ParameterSet, Tensor
+from .tensor import Tensor
 
+PREFIX = "fusion"
 NORM_EPS = 1e-5
 COSINE_EPS = 1e-12
-
-
-@dataclass
-class FusionProgram:
-    """K step indicators, one row each."""
-
-    indicators: np.ndarray
-
-    def __post_init__(self):
-        if self.indicators.ndim != 2 or self.indicators.shape[0] < 1:
-            raise ValueError(f"need K>=1 indicator rows, got {self.indicators.shape}")
-        if not np.isfinite(self.indicators).all():
-            raise ValueError("non-finite fusion indicators")
-
-
-@dataclass
-class BlockInstance:
-    """Generated normalization parameters for one fusion step."""
-
-    mu1: np.ndarray
-    sigma1: np.ndarray
-    mu2: np.ndarray
-    sigma2: np.ndarray
-
-
-@dataclass
-class FusedTokens:
-    tokens: np.ndarray
-    step: int
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +45,20 @@ def block_prefix(prefix: str, step: int, shared: bool) -> str:
     return f"{prefix}/block" if shared else f"{prefix}/block{step}"
 
 
-def init_fusion(rng, params: dict, d: int, k_steps: int, share_block: bool = True,
-                prefix: str = "fusion") -> None:
+def init_fusion(rng, params: dict, d: int, k_steps: int, share_block: bool = True) -> None:
     for i in range(k_steps):
-        init_linear(rng, params, f"{prefix}/seq/fc{i}", d, d)
-    init_mha(rng, params, f"{prefix}/seq/attn", d)
+        init_linear(rng, params, f"{PREFIX}/seq/fc{i}", d, d)
+    init_mha(rng, params, f"{PREFIX}/seq/attn", d)
     for head in ("mu1", "sg1", "mu2", "sg2"):
-        init_linear(rng, params, f"{prefix}/gen/{head}", d, d)
+        init_linear(rng, params, f"{PREFIX}/gen/{head}", d, d)
     # the sigma biases start at 1, so each step starts near a plain
     # normalization; at 0 the generated scale would be ~0 with random sign
     # and the first step would erase the reference tokens
     for head in ("sg1", "sg2"):
-        params[f"{prefix}/gen/{head}/b"] = Tensor(np.ones(d, dtype=np.float32))
+        params[f"{PREFIX}/gen/{head}/b"] = Tensor(np.ones(d, dtype=np.float32))
     n_blocks = 1 if share_block else k_steps
     for b in range(n_blocks):
-        bp = block_prefix(prefix, b, share_block)
+        bp = block_prefix(PREFIX, b, share_block)
         init_linear(rng, params, bp + "/qkv", d, 3 * d)
         init_linear(rng, params, bp + "/attn_o", d, d)
         init_ffn(rng, params, bp + "/ffn", d, 2 * d)
@@ -100,8 +72,7 @@ def init_fusion(rng, params: dict, d: int, k_steps: int, share_block: bool = Tru
 # ---------------------------------------------------------------------------
 
 
-def fusion_sequence_batch_node(p, q, word_feats, lengths, k_steps: int, n_heads: int,
-                               prefix: str = "fusion"):
+def fusion_sequence_batch_node(p, q, word_feats, lengths, k_steps: int, n_heads: int):
     """K indicators per example: attended word summaries driven by FC_i(q).
 
     q: n x d; word_feats: (sum L_w) x d example-major.  Each example's
@@ -112,19 +83,19 @@ def fusion_sequence_batch_node(p, q, word_feats, lengths, k_steps: int, n_heads:
     words, key_mask = pad_segments(word_feats, lengths)
     indicators = []
     for i in range(k_steps):
-        fq = ag.reshape(linear(p, f"{prefix}/seq/fc{i}", q), (n, 1, d))
-        s_i = mha(p, f"{prefix}/seq/attn", fq, words, words, n_heads, key_mask)
+        fq = ag.reshape(linear(p, f"{PREFIX}/seq/fc{i}", q), (n, 1, d))
+        s_i = mha(p, f"{PREFIX}/seq/attn", fq, words, words, n_heads, key_mask)
         indicators.append(ag.reshape(s_i, (n, d)))
     return indicators
 
 
-def instantiate_block_batch_node(p, s_i, prefix: str = "fusion"):
+def instantiate_block_batch_node(p, s_i):
     """Four affine heads map indicators (n x d) to per-example (mu, sigma)."""
     return {
-        "mu1": linear(p, f"{prefix}/gen/mu1", s_i),
-        "sg1": linear(p, f"{prefix}/gen/sg1", s_i),
-        "mu2": linear(p, f"{prefix}/gen/mu2", s_i),
-        "sg2": linear(p, f"{prefix}/gen/sg2", s_i),
+        "mu1": linear(p, f"{PREFIX}/gen/mu1", s_i),
+        "sg1": linear(p, f"{PREFIX}/gen/sg1", s_i),
+        "mu2": linear(p, f"{PREFIX}/gen/mu2", s_i),
+        "sg2": linear(p, f"{PREFIX}/gen/sg2", s_i),
     }
 
 
@@ -137,8 +108,7 @@ def adaptive_norm_node(x, mu, sigma, eps: float = NORM_EPS):
 
 
 def fusion_step_batch_node(p, f_prev, inst, n_heads: int, step: int,
-                           share_block: bool = True, plain_ln: bool = False,
-                           prefix: str = "fusion"):
+                           share_block: bool = True, plain_ln: bool = False):
     """One instantiated block application over each example's reference tokens.
 
     f_prev: (n, L, d); inst: generator outputs, each n x d, broadcast over
@@ -146,7 +116,7 @@ def fusion_step_batch_node(p, f_prev, inst, n_heads: int, step: int,
     learned layer-norm affine instead).  Attention stays within each
     example.  Returns (n, L, d).
     """
-    bp = block_prefix(prefix, step, share_block)
+    bp = block_prefix(PREFIX, step, share_block)
     n, _, d = f_prev.shape
 
     def site_norm(x, which: str):
@@ -188,32 +158,8 @@ def total_loss_node(l_m, l_c, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# numpy-side API (single example / plain arrays)
+# numpy references (float64, for tests)
 # ---------------------------------------------------------------------------
-
-
-def fusion_sequence(q: np.ndarray, t: np.ndarray, params: ParameterSet, k_steps: int,
-                    n_heads: int = 2, prefix: str = "fusion") -> FusionProgram:
-    if q.shape[-1] != t.shape[1]:
-        raise ValueError(f"width mismatch: q {q.shape} vs t {t.shape}")
-    p = {key: ag.leaf(v) for key, v in params.items()}
-    nodes = fusion_sequence_batch_node(
-        p, ag.leaf(q[None, :]), ag.leaf(t), [t.shape[0]], k_steps, n_heads, prefix
-    )
-    rows = np.stack([nd.value[0] for nd in nodes]).astype(np.float32)
-    return FusionProgram(rows)
-
-
-def instantiate_block(s_i: np.ndarray, params: ParameterSet,
-                      prefix: str = "fusion") -> BlockInstance:
-    p = {key: ag.leaf(v) for key, v in params.items()}
-    out = instantiate_block_batch_node(p, ag.leaf(s_i[None, :]), prefix)
-    return BlockInstance(
-        mu1=out["mu1"].value[0].astype(np.float32),
-        sigma1=out["sg1"].value[0].astype(np.float32),
-        mu2=out["mu2"].value[0].astype(np.float32),
-        sigma2=out["sg2"].value[0].astype(np.float32),
-    )
 
 
 def adaptive_norm(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
@@ -224,42 +170,6 @@ def adaptive_norm(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     return (sigma * (x64 - m) / np.sqrt(v + eps) + mu).astype(np.float32)
 
 
-def fusion_step(f_prev: FusedTokens, inst: BlockInstance, params: ParameterSet,
-                n_heads: int = 2, step: int = 0, share_block: bool = True,
-                prefix: str = "fusion") -> FusedTokens:
-    p = {key: ag.leaf(v) for key, v in params.items()}
-    inst_nodes = {
-        "mu1": ag.leaf(inst.mu1[None, :]),
-        "sg1": ag.leaf(inst.sigma1[None, :]),
-        "mu2": ag.leaf(inst.mu2[None, :]),
-        "sg2": ag.leaf(inst.sigma2[None, :]),
-    }
-    node = fusion_step_batch_node(
-        p, ag.leaf(f_prev.tokens[None]), inst_nodes, n_heads, step, share_block,
-        prefix=prefix,
-    )
-    return FusedTokens(node.value[0].astype(np.float32), step=f_prev.step + 1)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero-norm inputs score 0 with a warning."""
-    u64, v64 = np.asarray(u, np.float64), np.asarray(v, np.float64)
-    nu, nv = np.linalg.norm(u64), np.linalg.norm(v64)
-    if nu < COSINE_EPS or nv < COSINE_EPS:
-        warnings.warn("cosine: zero-norm vector, score defined as 0")
-        return 0.0
-    return float(u64 @ v64 / (nu * nv))
-
-
-def matching_score(fused: FusedTokens, target_pooled: np.ndarray,
-                   params: ParameterSet, pool_prefix: str = "pool") -> float:
-    """Pool the fused tokens with the shared attention head, then cosine."""
-    from .alignment import attention_pool
-
-    pooled = attention_pool(fused.tokens, params, prefix=pool_prefix).pooled
-    return cosine(pooled, target_pooled)
-
-
 def batch_classification_loss(score_matrix: np.ndarray, gamma: float) -> float:
     m = np.asarray(score_matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -268,9 +178,3 @@ def batch_classification_loss(score_matrix: np.ndarray, gamma: float) -> float:
     z = z - z.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-np.mean(np.diag(log_probs)))
-
-
-def total_loss(l_m: float, l_c: float, alpha: float) -> float:
-    if alpha < 0:
-        raise ValueError(f"loss weight must be non-negative, got {alpha}")
-    return float(l_m + alpha * l_c)

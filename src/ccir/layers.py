@@ -182,14 +182,3 @@ def gru_step(p, prefix: str, x, h):
         + p[prefix + "/n/b"]
     )
     return (1.0 - z) * n + z * h
-
-
-def segment_softmax_pool(tokens, logits, n_segments: int, seg_len: int):
-    """Attention-pool equal-length segments in one shot.
-
-    tokens: (n*L) x d or (n, L, d); logits: one per token.  Returns
-    (weights flattened to (n*L) x 1, pooled n x d).
-    """
-    w = ag.softmax(ag.reshape(logits, (n_segments, seg_len, 1)), axis=1)
-    segments = ag.reshape(tokens, (n_segments, seg_len, tokens.shape[-1]))
-    return ag.reshape(w, (n_segments * seg_len, 1)), ag.sum_(segments * w, axis=1)

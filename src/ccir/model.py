@@ -66,39 +66,39 @@ def init_model_params(seed: int, cfg: TrainConfig, n_patches: int, patch_px: int
     return ParameterSet(params)
 
 
-def _mean_pool_segments(tokens, n_segments: int, seg_len: int):
-    """n x d means of equal-length segments of (n*L) x d or (n, L, d) tokens."""
-    return ag.mean(ag.reshape(tokens, (n_segments, seg_len, tokens.shape[-1])), axis=1)
+def _examples(x, n: int, seg_len: int):
+    """A flat (n*L) x k stack or an (n, L, k) array viewed as (n, L, k)."""
+    return np.reshape(x, (n, seg_len, np.shape(x)[-1]))
 
 
 def _visual_tokens(p, inputs, n_examples: int, seg_len: int, cfg: TrainConfig):
-    """Reference/target token stacks, from pixels or a frozen cache."""
+    """(n, L, d) reference and target tokens, from pixels or a frozen cache."""
     if "ref_tokens" in inputs:
-        return inputs["ref_tokens"], inputs["tgt_tokens"]
-    all_tokens = encode_image_batch_node(
-        p, "image", inputs["patches"], cfg.n_heads, 2 * n_examples
-    )
-    split = n_examples * seg_len
-    return all_tokens[:split], all_tokens[split:]
+        ref, tgt = inputs["ref_tokens"], inputs["tgt_tokens"]
+        shape = (n_examples, seg_len, ref.shape[-1])
+        return ag.reshape(ref, shape), ag.reshape(tgt, shape)
+    patches = inputs["patches"]
+    patches = ag.reshape(patches, (2 * n_examples, seg_len, patches.shape[-1]))
+    all_tokens = encode_image_batch_node(p, patches, cfg.n_heads)
+    return all_tokens[:n_examples], all_tokens[n_examples:]
 
 
-def _query_feature(p, ref_tokens, q, word_feats, lengths, n_examples: int,
-                   seg_len: int, cfg: TrainConfig):
+def _query_feature(p, ref_tokens, q, word_feats, lengths, cfg: TrainConfig):
     """(fused tokens, pooled query feature) after K instantiated fusion
     steps; without fusion, (None, the pooled reference and q projected)."""
     if cfg.remove_fusion:
-        _, ref_pooled = attention_pool_batch_node(p, ref_tokens, n_examples, seg_len)
+        _, ref_pooled = attention_pool_batch_node(p, ref_tokens)
         return None, linear(p, "nofusion", ag.concat([ref_pooled, q], axis=1))
     indicators = fusion_sequence_batch_node(
         p, q, word_feats, lengths, cfg.k_steps, cfg.n_heads
     )
-    f = ag.reshape(ref_tokens, (n_examples, seg_len, ref_tokens.shape[-1]))
+    f = ref_tokens
     for step, s_i in enumerate(indicators):
         inst = instantiate_block_batch_node(p, s_i)
         f = fusion_step_batch_node(
             p, f, inst, cfg.n_heads, step, cfg.share_block_weights, cfg.plain_layer_norm,
         )
-    _, pooled = attention_pool_batch_node(p, f, n_examples, seg_len)
+    _, pooled = attention_pool_batch_node(p, f)
     return f, pooled
 
 
@@ -106,14 +106,15 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
                            n_examples: int, seg_len: int, cfg: TrainConfig):
     """Program computing the combined loss for one batch.
 
-    Inputs at run time: either "patches" ((2n*L) x patch_dim, references
-    then targets) or cached "ref_tokens"/"tgt_tokens".  Word ids and
+    Inputs at run time: either "patches" (2n images of L x patch_dim,
+    references then targets) or cached "ref_tokens"/"tgt_tokens" (n images
+    of L x d each), as flat stacks or per-image arrays.  Word ids and
     concept labels ride along in the closure since they are integral.
     """
 
     def program(inputs, p):
         ref_tok, tgt_tok = _visual_tokens(p, inputs, n_examples, seg_len, cfg)
-        word_feats, q, lengths = encode_text_batch_node(p, "text", ids_batch, cfg.d)
+        word_feats, q, lengths = encode_text_batch_node(p, ids_batch, cfg.d)
 
         outputs = {}
 
@@ -122,11 +123,11 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
             l_c = None
         else:
             if cfg.reference_only:
-                bags = encode_tokens_batch_node(p, ref_tok, n_examples, cfg.n_heads)
+                bags = encode_tokens_batch_node(p, ref_tok, cfg.n_heads)
             elif cfg.target_only:
-                bags = encode_tokens_batch_node(p, tgt_tok, n_examples, cfg.n_heads)
+                bags = encode_tokens_batch_node(p, tgt_tok, cfg.n_heads)
             else:
-                bags = joint_encode_batch_node(p, ref_tok, tgt_tok, n_examples, cfg.n_heads)
+                bags = joint_encode_batch_node(p, ref_tok, tgt_tok, cfg.n_heads)
             att, s = concept_mil_node(bags, p["concepts/table"])
             bp = 0.0 if cfg.cross_entropy_loss else cfg.beta_plus
             bm = 0.0 if cfg.cross_entropy_loss else cfg.beta_minus
@@ -137,15 +138,15 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
             )
 
         # target-side feature for matching: pool the encoder tokens directly
-        _, v = attention_pool_batch_node(p, tgt_tok, n_examples, seg_len)
+        _, v = attention_pool_batch_node(p, tgt_tok)
 
         # query-side feature
-        fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, n_examples, seg_len, cfg)
+        fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, cfg)
 
         score_mat = ag.matmul(l2_normalize_rows_node(u), ag.transpose(l2_normalize_rows_node(v)))
         if cfg.context_score_on and fused is not None:
-            ctx_u = _mean_pool_segments(fused, n_examples, seg_len)
-            ctx_v = _mean_pool_segments(tgt_tok, n_examples, seg_len)
+            ctx_u = ag.mean(fused, axis=1)
+            ctx_v = ag.mean(tgt_tok, axis=1)
             score_mat = score_mat + ag.matmul(
                 l2_normalize_rows_node(ctx_u), ag.transpose(l2_normalize_rows_node(ctx_v))
             )
@@ -174,16 +175,18 @@ def _params_to_nodes(params: ParameterSet) -> dict:
 
 def encode_images_array(params: ParameterSet, patch_stack: np.ndarray,
                         n_images: int, cfg: TrainConfig) -> np.ndarray:
+    """(n, L, d) tokens of ``n_images`` images, given as a flat stack of
+    patch rows or as (n, L, patch_dim)."""
     p = _params_to_nodes(params)
-    node = encode_image_batch_node(p, "image", patch_stack, cfg.n_heads, n_images)
-    return node.value.astype(np.float32)
+    patches = ag.leaf(_examples(patch_stack, n_images, -1))
+    return encode_image_batch_node(p, patches, cfg.n_heads).value.astype(np.float32)
 
 
 def embed_targets(params: ParameterSet, token_stack: np.ndarray, n_images: int,
                   seg_len: int, cfg: TrainConfig) -> np.ndarray:
     """Pooled target features f_a for a stack of per-image tokens."""
     p = _params_to_nodes(params)
-    _, v = attention_pool_batch_node(p, ag.leaf(token_stack), n_images, seg_len)
+    _, v = attention_pool_batch_node(p, ag.leaf(_examples(token_stack, n_images, seg_len)))
     return v.value.astype(np.float32)
 
 
@@ -193,12 +196,12 @@ def embed_queries(params: ParameterSet, ref_token_stack: np.ndarray,
     """Pooled query features; also mean-pooled fused tokens when the
     context score is enabled (None otherwise)."""
     p = _params_to_nodes(params)
-    ref_tok = ag.leaf(ref_token_stack)
-    word_feats, q, lengths = encode_text_batch_node(p, "text", ids_batch, cfg.d)
-    fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, n_examples, seg_len, cfg)
+    ref_tok = ag.leaf(_examples(ref_token_stack, n_examples, seg_len))
+    word_feats, q, lengths = encode_text_batch_node(p, ids_batch, cfg.d)
+    fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, cfg)
     ctx = None
     if cfg.context_score_on and fused is not None:
-        ctx = _mean_pool_segments(fused, n_examples, seg_len).value.astype(np.float32)
+        ctx = ag.mean(fused, axis=1).value.astype(np.float32)
     return u.value.astype(np.float32), ctx
 
 
@@ -210,7 +213,9 @@ def alignment_pass(params: ParameterSet, ref_tokens: np.ndarray, tgt_tokens: np.
     concept when None or empty), one weight per joint token.
     """
     p = _params_to_nodes(params)
-    bags = joint_encode_batch_node(p, ag.leaf(ref_tokens), ag.leaf(tgt_tokens), 1, cfg.n_heads)
+    ref = ag.leaf(_examples(ref_tokens, 1, -1))
+    tgt = ag.leaf(_examples(tgt_tokens, 1, -1))
+    bags = joint_encode_batch_node(p, ref, tgt, cfg.n_heads)
     att, s = concept_mil_node(bags, p["concepts/table"])
     mask = np.zeros((1, att.shape[2]), dtype=np.float32)
     if concept_ids is not None:

@@ -41,6 +41,11 @@ from .optim import OptimizerState, adamw_step, halved_lr, load_checkpoint, save_
 from .tensor import ParameterSet
 
 EVAL_CHUNK = 32
+META_KEYS = ("cell_px", "grid", "channels")
+RECORD_KEYS = ("id", "modifier", "ref_image", "tgt_image", "concepts")
+SIDECAR_KEYS = (
+    "config", "epoch", "text_vocab", "concepts", "concept_tags", "grid", "cell_px", "channels",
+)
 
 
 class NumericFailure(RuntimeError):
@@ -56,7 +61,13 @@ class NumericFailure(RuntimeError):
 
 
 class DataError(RuntimeError):
-    """Dataset files missing or malformed."""
+    """Dataset or checkpoint files missing or malformed."""
+
+
+def _require_keys(obj: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise DataError(f"{where}: missing key {key!r}")
 
 
 @dataclass
@@ -89,21 +100,28 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Raises OSError for an unreadable file and DataError for a
+        malformed container or sidecar."""
         path = Path(path)
-        params, state = load_checkpoint(path)
-        with open(path.with_suffix(".json"), encoding="utf-8") as fh:
-            side = json.load(fh)
-        return cls(
-            params=params,
-            opt_state=state if state is not None else OptimizerState.initial(params),
-            config=TrainConfig.from_dict(side["config"]),
-            epoch=side["epoch"],
-            text_vocab=side["text_vocab"],
-            concept_vocab=ConceptVocabulary(side["concepts"], side["concept_tags"]),
-            grid=tuple(side["grid"]),
-            cell_px=side["cell_px"],
-            channels=side["channels"],
-        )
+        sidecar = path.with_suffix(".json")
+        try:
+            params, state = load_checkpoint(path)
+            with open(sidecar, encoding="utf-8") as fh:
+                side = json.load(fh)
+            _require_keys(side, SIDECAR_KEYS, str(sidecar))
+            return cls(
+                params=params,
+                opt_state=state if state is not None else OptimizerState.initial(params),
+                config=TrainConfig.from_dict(side["config"]),
+                epoch=side["epoch"],
+                text_vocab=side["text_vocab"],
+                concept_vocab=ConceptVocabulary(side["concepts"], side["concept_tags"]),
+                grid=tuple(side["grid"]),
+                cell_px=side["cell_px"],
+                channels=side["channels"],
+            )
+        except ValueError as e:
+            raise DataError(f"malformed checkpoint {path}: {e}") from e
 
 
 @dataclass
@@ -131,12 +149,19 @@ def load_dataset(data_dir) -> Dataset:
     for name in ("meta.json", "train.jsonl", "val.jsonl", "images.nct", "images.idx.json"):
         if not (root / name).exists():
             raise DataError(f"missing dataset file {root / name}")
-    with open(root / "meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    train = read_jsonl(root / "train.jsonl")
-    val = read_jsonl(root / "val.jsonl")
+    try:
+        with open(root / "meta.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        train = read_jsonl(root / "train.jsonl")
+        val = read_jsonl(root / "val.jsonl")
+    except ValueError as e:
+        raise DataError(f"malformed dataset file in {root}: {e}") from e
     if not train or not val:
         raise DataError("empty dataset split")
+    _require_keys(meta, META_KEYS, str(root / "meta.json"))
+    for name, records in (("train.jsonl", train), ("val.jsonl", val)):
+        for i, rec in enumerate(records):
+            _require_keys(rec, RECORD_KEYS, f"{root / name} record {i + 1}")
     store = ImageStore(root / "images.nct", root / "images.idx.json")
     cell_px = meta["cell_px"]
     patches = {}
@@ -180,9 +205,8 @@ def _encode_token_cache(params, dataset: Dataset, cfg: TrainConfig) -> dict:
     cache = {}
     for start in range(0, len(ids), EVAL_CHUNK):
         chunk = ids[start : start + EVAL_CHUNK]
-        stack = np.concatenate([dataset.patches[i] for i in chunk])
-        toks = encode_images_array(params, stack, len(chunk), cfg)
-        cache.update(zip(chunk, np.split(toks, len(chunk))))
+        stack = np.stack([dataset.patches[i] for i in chunk])
+        cache.update(zip(chunk, encode_images_array(params, stack, len(chunk), cfg)))
     return cache
 
 
@@ -224,20 +248,12 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
         out_root.mkdir(parents=True, exist_ok=True)
         log_fh = open(out_root / log_name, "w", encoding="utf-8")
 
-    def trainable_predicate(frozen_encoder):
-        def keep(path):
-            if frozen_encoder and path.startswith("image/"):
-                return False
-            if not cfg.concepts_trainable and path.startswith("concepts/"):
-                return False
-            return True
-
-        return keep
-
     try:
         for epoch in range(cfg.epochs):
             lr = halved_lr(cfg.lr, epoch, cfg.decay_every, cfg.decay_factor)
             frozen = epoch < cfg.freeze_epochs
+            # a frozen epoch trains everything except the image encoder
+            keep = (lambda path: not path.startswith("image/")) if frozen else (lambda path: True)
             if frozen and token_cache is None:
                 token_cache = _encode_token_cache(params, dataset, cfg)
             if not frozen:
@@ -257,23 +273,18 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
 
                 if frozen:
                     inputs = {
-                        "ref_tokens": np.concatenate(
-                            [token_cache[r["ref_image"]] for r in batch]
-                        ),
-                        "tgt_tokens": np.concatenate(
-                            [token_cache[r["tgt_image"]] for r in batch]
-                        ),
+                        "ref_tokens": np.stack([token_cache[r["ref_image"]] for r in batch]),
+                        "tgt_tokens": np.stack([token_cache[r["tgt_image"]] for r in batch]),
                     }
                 else:
                     inputs = {
-                        "patches": np.concatenate(
+                        "patches": np.stack(
                             [dataset.patches[r["ref_image"]] for r in batch]
                             + [dataset.patches[r["tgt_image"]] for r in batch]
                         )
                     }
 
                 program = build_training_program(ids_batch, labels, n, L, cfg)
-                keep = trainable_predicate(frozen)
                 try:
                     outs, grads = forward_backward(program, inputs, params)
                     updated, state = adamw_step(
@@ -345,13 +356,13 @@ def frozen_encoder_features(dataset: Dataset, cfg: TrainConfig, gallery_ids) -> 
     base = init_model_params(
         cfg.seed, cfg, dataset.n_patches, dataset.cell_px, dataset.channels, 1, 1
     )
-    L = dataset.n_patches
     feats = np.empty((len(gallery_ids), cfg.d), dtype=np.float32)
     for start in range(0, len(gallery_ids), EVAL_CHUNK):
         chunk = gallery_ids[start : start + EVAL_CHUNK]
-        stack = np.concatenate([dataset.patches[i] for i in chunk])
-        toks = encode_images_array(base, stack, len(chunk), cfg)
-        feats[start : start + len(chunk)] = toks.reshape(len(chunk), L, -1).mean(axis=1)
+        stack = np.stack([dataset.patches[i] for i in chunk])
+        feats[start : start + len(chunk)] = encode_images_array(
+            base, stack, len(chunk), cfg
+        ).mean(axis=1)
     return feats
 
 
@@ -372,13 +383,13 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     tgt_mean = np.empty((len(gallery_ids), cfg.d), dtype=np.float32) if cfg.context_score_on else None
     for start in range(0, len(gallery_ids), EVAL_CHUNK):
         chunk = gallery_ids[start : start + EVAL_CHUNK]
-        stack = np.concatenate([dataset.patches[g] for g in chunk])
+        stack = np.stack([dataset.patches[g] for g in chunk])
         toks = encode_images_array(ckpt.params, stack, len(chunk), cfg)
         v[start : start + len(chunk)] = embed_targets(
             ckpt.params, toks, len(chunk), L, cfg
         )
         if tgt_mean is not None:
-            tgt_mean[start : start + len(chunk)] = toks.reshape(len(chunk), L, -1).mean(axis=1)
+            tgt_mean[start : start + len(chunk)] = toks.mean(axis=1)
 
     # query-side features
     text_index = {w: i for i, w in enumerate(ckpt.text_vocab)}
@@ -386,7 +397,7 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     ctx_u = np.empty_like(u) if cfg.context_score_on else None
     for start in range(0, len(query_records), EVAL_CHUNK):
         chunk = query_records[start : start + EVAL_CHUNK]
-        stack = np.concatenate([dataset.patches[r["ref_image"]] for r in chunk])
+        stack = np.stack([dataset.patches[r["ref_image"]] for r in chunk])
         toks = encode_images_array(ckpt.params, stack, len(chunk), cfg)
         ids_batch = [words_to_ids(tokenize(r["modifier"]), text_index) for r in chunk]
         uu, cc = embed_queries(ckpt.params, toks, ids_batch, len(chunk), L, cfg)
@@ -472,7 +483,7 @@ def export_alignment_heatmap(ckpt: Checkpoint, rec: dict, concept: str,
     """The concept's own attention map over the side-by-side reference and
     target grids, as a portable PGM plus a JSON sidecar."""
     if concept not in ckpt.concept_vocab:
-        raise KeyError(f"concept {concept!r} not in the model vocabulary")
+        raise DataError(f"concept {concept!r} not in the model vocabulary")
     cid = ckpt.concept_vocab.index[concept]
     weights, s_prime = _alignment_pass(ckpt, rec, dataset, [cid])
     gh, gw = ckpt.grid

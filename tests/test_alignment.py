@@ -8,9 +8,7 @@ from ccir.alignment import (
     AlignmentScores,
     AttentionPooling,
     ConceptLabelVector,
-    JointTokens,
     alignment_scores,
-    alignment_scores_node,
     asymmetric_loss,
     asymmetric_loss_node,
     attention_pool,
@@ -18,7 +16,7 @@ from ccir.alignment import (
     concept_mil_node,
     init_attention_pool,
     init_joint_transformer,
-    joint_encode,
+    joint_encode_batch_node,
     mean_concept_map,
 )
 from ccir.tensor import ParameterSet, Tensor
@@ -36,24 +34,26 @@ def rand_tokens(rng, n, d=8):
     return rng.normal(size=(n, d)).astype(np.float32)
 
 
+def joint_tokens(f_r, f_t, params):
+    """The 2L x d joint tokens of one pair of L x d token matrices."""
+    p = {k: ag.leaf(v) for k, v in params.items()}
+    out = joint_encode_batch_node(p, ag.leaf(f_r[None]), ag.leaf(f_t[None]), 2)
+    return out.value[0]
+
+
 # -- joint encoding ---------------------------------------------------------
 
 
-def test_joint_tokens_boundary_validation():
-    toks = np.zeros((6, 4), dtype=np.float32)
-    JointTokens(toks, boundary=2)
-    with pytest.raises(ValueError):
-        JointTokens(toks, boundary=0)
-    with pytest.raises(ValueError):
-        JointTokens(toks, boundary=6)
-
-
 def test_joint_encode_shapes_and_boundary():
+    """The reference cells come first: the boundary sits at L, so swapping
+    the two images swaps the two halves."""
     params = make_params()
     rng = np.random.default_rng(1)
-    out = joint_encode(rand_tokens(rng, 4), rand_tokens(rng, 4), params)
-    assert out.tokens.shape == (8, 8)
-    assert out.boundary == 4
+    f_r, f_t = rand_tokens(rng, 4), rand_tokens(rng, 4)
+    out = joint_tokens(f_r, f_t, params)
+    assert out.shape == (8, 8)
+    swapped = joint_tokens(f_t, f_r, params)
+    assert np.allclose(swapped, np.concatenate([out[4:], out[:4]]), atol=1e-5)
 
 
 def test_joint_encode_permutation_equivariance():
@@ -64,12 +64,12 @@ def test_joint_encode_permutation_equivariance():
     rng = np.random.default_rng(2)
     f_r, f_t = rand_tokens(rng, 4), rand_tokens(rng, 4)
     perm = np.array([1, 3, 2, 0])
-    base = joint_encode(f_r, f_t, params).tokens
-    shuffled = joint_encode(f_r[perm], f_t[perm], params).tokens
+    base = joint_tokens(f_r, f_t, params)
+    shuffled = joint_tokens(f_r[perm], f_t[perm], params)
     assert np.allclose(shuffled[:4], base[:4][perm], atol=1e-5)
     assert np.allclose(shuffled[4:], base[4:][perm], atol=1e-5)
     with pytest.raises(ag.ShapeError):
-        joint_encode(rand_tokens(rng, 3), rand_tokens(rng, 4), params)
+        joint_tokens(rand_tokens(rng, 3), rand_tokens(rng, 4), params)
 
 
 def test_joint_encode_pairs_same_cells():
@@ -80,8 +80,8 @@ def test_joint_encode_pairs_same_cells():
     f_r, f_t = rand_tokens(rng, 4), rand_tokens(rng, 4)
     edited = f_t.copy()
     edited[2] = rand_tokens(rng, 1)[0]
-    a = joint_encode(f_r, f_t, params).tokens
-    b = joint_encode(f_r, edited, params).tokens
+    a = joint_tokens(f_r, f_t, params)
+    b = joint_tokens(f_r, edited, params)
     changed = ~np.isclose(a, b, atol=1e-6).all(axis=1)
     assert changed.tolist() == [False, False, True, False, False, False, True, False]
 
@@ -91,8 +91,8 @@ def test_joint_context_mixes_reference_and_target():
     params = make_params()
     rng = np.random.default_rng(3)
     f_r = rand_tokens(rng, 3)
-    a = joint_encode(f_r, rand_tokens(rng, 3), params).tokens
-    b = joint_encode(f_r, rand_tokens(rng, 3), params).tokens
+    a = joint_tokens(f_r, rand_tokens(rng, 3), params)
+    b = joint_tokens(f_r, rand_tokens(rng, 3), params)
     assert not np.allclose(a[:3], b[:3], atol=1e-4)
 
 
@@ -149,11 +149,12 @@ def test_batched_pooling_matches_single():
     rng = np.random.default_rng(5)
     segs = [rand_tokens(rng, 4) for _ in range(3)]
     p = {k: ag.leaf(v) for k, v in params.items()}
-    w, pooled = attention_pool_batch_node(p, ag.leaf(np.concatenate(segs)), 3, 4)
+    w, pooled = attention_pool_batch_node(p, ag.leaf(np.stack(segs)))
+    assert w.shape == (3, 4, 1)
     for i, seg in enumerate(segs):
         single = attention_pool(seg, params)
         assert np.allclose(pooled.value[i], single.pooled, atol=1e-6)
-        assert np.allclose(w.value[i * 4 : (i + 1) * 4, 0], single.weights, atol=1e-6)
+        assert np.allclose(w.value[i, :, 0], single.weights, atol=1e-6)
 
 
 def test_joint_pool_differs_from_single_image_pool():
@@ -162,7 +163,7 @@ def test_joint_pool_differs_from_single_image_pool():
     params = make_params()
     rng = np.random.default_rng(6)
     f_r, f_t = rand_tokens(rng, 4), rand_tokens(rng, 4)
-    joint = attention_pool(joint_encode(f_r, f_t, params).tokens, params).pooled
+    joint = attention_pool(joint_tokens(f_r, f_t, params), params).pooled
     ref_alone = attention_pool(f_r, params).pooled
     tgt_alone = attention_pool(f_t, params).pooled
     assert not np.allclose(joint, ref_alone, atol=1e-3)
@@ -337,14 +338,3 @@ def test_batched_loss_node_skips_unsupervised_rows():
     # only row 0 contributes; divisor stays the full batch size
     want = (0.5 * np.log(2.0) + 2 * 0.5**4 * np.log(2.0)) / 2.0
     assert abs(float(node.value) - want) < 1e-6
-
-
-def test_scores_node_matches_numpy_path():
-    rng = np.random.default_rng(10)
-    pooled = rng.normal(size=(3, 5)).astype(np.float32)
-    table = rng.normal(size=(6, 5)).astype(np.float32)
-    s_node, sp_node = alignment_scores_node(ag.leaf(pooled), ag.leaf(table))
-    for i in range(3):
-        single = alignment_scores(pooled[i], table)
-        assert np.allclose(s_node.value[i], single.s, atol=1e-5)
-        assert np.allclose(sp_node.value[i], single.s_prime, atol=1e-6)

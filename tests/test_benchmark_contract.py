@@ -1,0 +1,53 @@
+"""The names the benchmark's tracer wraps must keep existing.
+
+``perfbench/tracer.py`` wraps program functions by module and attribute
+name, and reads ``attention_core``'s head count from its 4th positional
+argument.  Its own tests sit outside this suite, so a rename here would
+otherwise surface only when the benchmark runs.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+from ccir.layers import attention_core
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_targets() -> tuple:
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS assignment in {TRACER}")
+
+
+def owner_of(dotted: str):
+    """The module, or a class inside a module, named by a dotted path."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def test_every_tracer_target_resolves():
+    targets = tracer_targets()
+    assert targets
+    missing = [(owner, attr) for owner, attr, _ in targets
+               if attr not in vars(owner_of(owner))]
+    assert not missing, f"tracer targets without a definition: {missing}"
+
+
+def test_attention_core_takes_heads_fourth():
+    params = list(inspect.signature(attention_core).parameters)
+    assert params[3] == "n_heads"

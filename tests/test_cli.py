@@ -1,12 +1,13 @@
 """Command-line surface: argument plumbing, config parsing, exit codes."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from ccir.cli import ConfigError, _coerce, build_parser, main, read_config_file
-from ccir.data import read_jsonl
+from ccir.data import read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,56 @@ def test_exit_3_on_unknown_triplet_or_concept(run_dir, data_dir, tmp_path, capsy
     assert main(["align-viz", "--checkpoint", str(run_dir / "model.nck"),
                  "--data", str(data_dir), "--triplet", rec["id"],
                  "--concept", "blorp", "--out", str(tmp_path / "h")]) == 3
+
+
+@pytest.mark.parametrize("name, key", [
+    ("meta.json", "cell_px"),
+    ("train.jsonl", "modifier"),
+    ("val.jsonl", "tgt_image"),
+])
+def test_exit_3_on_malformed_dataset_file(data_dir, tmp_path, capsys, name, key):
+    """A dataset file without a key the program reads exits 3, naming the
+    file, the record and the key, not with a traceback."""
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    path = bad / name
+    if name == "meta.json":
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        del meta[key]
+        path.write_text(json.dumps(meta), encoding="utf-8")
+    else:
+        records = read_jsonl(path)
+        del records[1][key]
+        write_jsonl(path, records)
+    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"), "--seed", "0",
+                 "--quiet", "--set", "epochs=1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert name in err and repr(key) in err
+    if name != "meta.json":
+        assert "record 2" in err
+
+
+def test_exit_3_on_malformed_checkpoint(run_dir, data_dir, tmp_path, capsys):
+    """A sidecar with an unknown config key or a missing key, or a
+    truncated container, exits 3."""
+    side = json.loads((run_dir / "model.json").read_text(encoding="utf-8"))
+
+    def evaluate_with(sidecar, container=None):
+        shutil.copy(run_dir / "model.nck", tmp_path / "model.nck")
+        if container is not None:
+            (tmp_path / "model.nck").write_bytes(container)
+        (tmp_path / "model.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        return main(["eval", "--checkpoint", str(tmp_path / "model.nck"),
+                     "--data", str(data_dir)])
+
+    assert evaluate_with(dict(side, config=dict(side["config"], no_such_option=True))) == 3
+    assert "no_such_option" in capsys.readouterr().err
+    assert evaluate_with({k: v for k, v in side.items() if k != "epoch"}) == 3
+    assert "'epoch'" in capsys.readouterr().err
+    truncated = (run_dir / "model.nck").read_bytes()[:-3]
+    assert evaluate_with(side, truncated) == 3
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_exit_4_on_numeric_failure(data_dir, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Image and text encoder behavior: patch extraction, batching, vocab I/O."""
+"""Image and text encoder behavior: patch extraction, batching, vocabularies."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,12 @@ from ccir.encoders import (
     UNK_WORD,
     build_text_vocab,
     concept_table_from_word_vectors,
-    embed_concept,
-    encode_image,
     encode_image_batch_node,
-    encode_text,
     encode_text_batch_node,
-    init_concept_table,
     init_image_encoder,
     init_text_encoder,
-    load_vocab,
     load_word_vectors,
     patchify,
-    save_vocab,
     tokenize,
     validate_image,
     words_to_ids,
@@ -33,6 +27,13 @@ def make_image_params(seed=0, d=8, patch=4, channels=3, n_patches=4):
     params = {}
     init_image_encoder(rng, params, d, patch, channels, n_patches)
     return ParameterSet(params)
+
+
+def encode_images(imgs, params):
+    """(n, L, d) tokens of a list of images, with 4-pixel patches."""
+    p = {k: ag.leaf(v) for k, v in params.items()}
+    patches = np.stack([patchify(im, 4) for im in imgs])
+    return encode_image_batch_node(p, ag.leaf(patches), 2).value
 
 
 def test_validate_image_rejects_bad_inputs():
@@ -76,16 +77,16 @@ def test_encode_image_shape_and_determinism():
     params = make_image_params()
     rng = np.random.default_rng(4)
     img = rng.uniform(size=(8, 8, 3)).astype(np.float32)
-    a = encode_image(img, params, patch=4)
-    b = encode_image(img, params, patch=4)
-    assert a.tokens.shape == (4, 8)
-    assert np.array_equal(a.tokens, b.tokens)
+    a = encode_images([img], params)
+    b = encode_images([img], params)
+    assert a.shape == (1, 4, 8)
+    assert np.array_equal(a, b)
 
 
 def test_position_rows_distinguish_identical_patches():
     params = make_image_params()
     img = np.full((8, 8, 3), 0.5, dtype=np.float32)
-    toks = encode_image(img, params, patch=4).tokens
+    toks = encode_images([img], params)[0]
     # identical pixel content, yet rows differ because of position features
     assert not np.allclose(toks[0], toks[1], atol=1e-5)
 
@@ -94,12 +95,10 @@ def test_batched_image_encoding_matches_single():
     params = make_image_params()
     rng = np.random.default_rng(5)
     imgs = [rng.uniform(size=(8, 8, 3)).astype(np.float32) for _ in range(3)]
-    stack = np.concatenate([patchify(im, 4) for im in imgs])
-    p = {k: ag.leaf(v) for k, v in params.items()}
-    batched = encode_image_batch_node(p, "image", stack, 2, 3).value
+    batched = encode_images(imgs, params)
     for i, im in enumerate(imgs):
-        single = encode_image(im, params, patch=4).tokens
-        assert np.allclose(batched[i * 4 : (i + 1) * 4], single, atol=1e-5)
+        single = encode_images([im], params)[0]
+        assert np.allclose(batched[i], single, atol=1e-5)
 
 
 def test_tokenize_lowercases_and_splits():
@@ -118,16 +117,6 @@ def test_vocab_reserves_unk_and_sorts():
     assert ids[1] == UNK_ID
 
 
-def test_vocab_file_round_trip(tmp_path):
-    vocab = build_text_vocab(["make the circle red now"])
-    path = tmp_path / "vocab.txt"
-    save_vocab(path, vocab)
-    assert load_vocab(path) == vocab
-    path.write_text("bad\nfirst\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_vocab(path)
-
-
 def make_text_params(seed=0, vocab=12, d=8):
     rng = np.random.default_rng(seed)
     params = {}
@@ -135,57 +124,54 @@ def make_text_params(seed=0, vocab=12, d=8):
     return ParameterSet(params)
 
 
+def encode_texts(batch, params):
+    """(word features (sum L_w) x d, sentence features n x d) of id lists."""
+    p = {k: ag.leaf(v) for k, v in params.items()}
+    t_node, q_node, lengths = encode_text_batch_node(p, batch, 8)
+    assert lengths == [len(ids) for ids in batch]
+    return t_node.value, q_node.value
+
+
 def test_encode_text_shapes_and_clamping():
+    """Out-of-vocabulary words become UNK_ID before encoding; the encoder
+    itself rejects an id outside its table."""
     params = make_text_params()
-    enc = encode_text([3, 5, 99], params, d=8)
-    assert enc.q.shape == (8,)
-    assert enc.t.shape == (3, 8)
-    assert enc.word_ids == [3, 5, UNK_ID]
+    index = {f"w{i}": i for i in range(12)}
+    ids = words_to_ids(["w3", "w5", "zzz"], index)
+    assert ids == [3, 5, UNK_ID]
+    t, q = encode_texts([ids], params)
+    assert q.shape == (1, 8)
+    assert t.shape == (3, 8)
+    with pytest.raises(IndexError):
+        encode_texts([[3, 5, 99]], params)
 
 
 def test_text_encoding_is_order_sensitive():
     params = make_text_params()
-    a = encode_text([2, 3, 4], params, d=8)
-    b = encode_text([4, 3, 2], params, d=8)
-    assert not np.allclose(a.q, b.q, atol=1e-4)
+    _, a = encode_texts([[2, 3, 4]], params)
+    _, b = encode_texts([[4, 3, 2]], params)
+    assert not np.allclose(a, b, atol=1e-4)
 
 
 def test_batched_text_matches_single_ragged_lengths():
     params = make_text_params()
     batch = [[1, 2, 3, 4], [5, 6], [7, 8, 9]]
-    p = {k: ag.leaf(v) for k, v in params.items()}
-    t_node, q_node, lengths = encode_text_batch_node(p, "text", batch, 8)
-    assert lengths == [4, 2, 3]
-    assert t_node.shape == (9, 8)
+    t_all, q_all = encode_texts(batch, params)
+    assert t_all.shape == (9, 8)
     offset = 0
     for i, ids in enumerate(batch):
-        single = encode_text(ids, params, d=8)
-        assert np.allclose(q_node.value[i], single.q, atol=1e-5)
-        assert np.allclose(
-            t_node.value[offset : offset + len(ids)], single.t, atol=1e-5
-        )
+        t, q = encode_texts([ids], params)
+        assert np.allclose(q_all[i], q[0], atol=1e-5)
+        assert np.allclose(t_all[offset : offset + len(ids)], t, atol=1e-5)
         offset += len(ids)
 
 
 def test_bidirectional_context_flows_both_ways():
     """Changing the last word must alter the first word's feature row."""
     params = make_text_params()
-    a = encode_text([1, 2, 3], params, d=8)
-    b = encode_text([1, 2, 4], params, d=8)
-    assert not np.allclose(a.t[0], b.t[0], atol=1e-5)
-
-
-def test_concept_table_lookup_and_bounds():
-    rng = np.random.default_rng(6)
-    params = {}
-    init_concept_table(rng, params, 5, 8)
-    table = params["concepts/table"]
-    row = embed_concept(table, 3)
-    assert np.array_equal(row, table.data[3])
-    with pytest.raises(IndexError):
-        embed_concept(table, 5)
-    with pytest.raises(IndexError):
-        embed_concept(table, -1)
+    a, _ = encode_texts([[1, 2, 3]], params)
+    b, _ = encode_texts([[1, 2, 4]], params)
+    assert not np.allclose(a[0], b[0], atol=1e-5)
 
 
 def test_word_vector_file_parsing(tmp_path):

@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from ccir import autograd as ag
+from ccir.alignment import attention_pool_batch_node
 from ccir.fusion import (
-    BlockInstance,
-    FusedTokens,
-    FusionProgram,
     adaptive_norm,
     adaptive_norm_node,
     batch_classification_loss,
     batch_classification_loss_node,
     block_prefix,
-    cosine,
-    fusion_sequence,
-    fusion_step,
+    fusion_sequence_batch_node,
+    fusion_step_batch_node,
     init_fusion,
-    instantiate_block,
-    matching_score,
-    total_loss,
+    instantiate_block_batch_node,
+    l2_normalize_rows_node,
     total_loss_node,
 )
 from ccir.tensor import ParameterSet, Tensor
@@ -32,6 +28,33 @@ def make_params(seed=0, d=8, k=3, share=True):
     return ParameterSet(params)
 
 
+def nodes(params):
+    return {k: ag.leaf(v) for k, v in params.items()}
+
+
+def indicators(q, t, params, k_steps):
+    """K x d step indicators of one example: query q (d,), words t (L_w x d)."""
+    out = fusion_sequence_batch_node(nodes(params), ag.leaf(q[None]), ag.leaf(t), [len(t)],
+                                     k_steps, 2)
+    return np.stack([nd.value[0] for nd in out])
+
+
+def instantiate(s, params):
+    """Generated (mu, sigma) heads for one indicator s (d,), each (d,)."""
+    out = instantiate_block_batch_node(nodes(params), ag.leaf(s[None]))
+    return {k: v.value[0] for k, v in out.items()}
+
+
+def apply_step(tokens, inst, params, step=0, share_block=True):
+    """One block application to one example's L x d tokens."""
+    out = fusion_step_batch_node(
+        nodes(params), ag.leaf(tokens[None]), {k: ag.leaf(v[None]) for k, v in inst.items()},
+        2, step, share_block,
+    )
+    assert out.shape == (1,) + tokens.shape
+    return out.value[0]
+
+
 # -- fusion sequence --------------------------------------------------------
 
 
@@ -40,8 +63,7 @@ def test_sequence_shape_and_k():
     rng = np.random.default_rng(1)
     q = rng.normal(size=8).astype(np.float32)
     t = rng.normal(size=(4, 8)).astype(np.float32)
-    prog = fusion_sequence(q, t, params, k_steps=3)
-    assert prog.indicators.shape == (3, 8)
+    assert indicators(q, t, params, k_steps=3).shape == (3, 8)
 
 
 def test_sequence_single_word_ignores_projections():
@@ -52,8 +74,8 @@ def test_sequence_single_word_ignores_projections():
     q1 = rng.normal(size=8).astype(np.float32)
     q2 = rng.normal(size=8).astype(np.float32)
     t = rng.normal(size=(1, 8)).astype(np.float32)
-    a = fusion_sequence(q1, t, params, k_steps=3).indicators
-    b = fusion_sequence(q2, t, params, k_steps=3).indicators
+    a = indicators(q1, t, params, k_steps=3)
+    b = indicators(q2, t, params, k_steps=3)
     assert np.allclose(a, b, atol=1e-6)
     assert np.allclose(a[0], a[1], atol=1e-6)
     assert np.allclose(a[1], a[2], atol=1e-6)
@@ -64,16 +86,9 @@ def test_sequence_steps_differ_with_multiple_words():
     rng = np.random.default_rng(3)
     q = rng.normal(size=8).astype(np.float32)
     t = rng.normal(size=(5, 8)).astype(np.float32)
-    s = fusion_sequence(q, t, params, k_steps=3).indicators
+    s = indicators(q, t, params, k_steps=3)
     assert not np.allclose(s[0], s[1], atol=1e-4)
     assert not np.allclose(s[1], s[2], atol=1e-4)
-
-
-def test_program_type_validation():
-    with pytest.raises(ValueError):
-        FusionProgram(np.zeros((0, 4), np.float32))
-    with pytest.raises(ValueError):
-        FusionProgram(np.full((2, 4), np.nan, np.float32))
 
 
 # -- block instantiation ----------------------------------------------------
@@ -84,8 +99,8 @@ def test_instantiate_zero_input_zero_heads():
     for key in list(params):
         if "/gen/" in key:
             params[key] = Tensor.zeros(params[key].shape)
-    inst = instantiate_block(np.zeros(8, np.float32), ParameterSet(params))
-    for arr in (inst.mu1, inst.sigma1, inst.mu2, inst.sigma2):
+    inst = instantiate(np.zeros(8, np.float32), ParameterSet(params))
+    for arr in inst.values():
         assert np.array_equal(arr, np.zeros(8, np.float32))
 
 
@@ -93,36 +108,36 @@ def test_instantiate_matches_affine_oracle():
     params = make_params()
     rng = np.random.default_rng(4)
     s = rng.normal(size=8).astype(np.float32)
-    inst = instantiate_block(s, params)
+    inst = instantiate(s, params)
     want_mu1 = s @ params["fusion/gen/mu1/w"].data + params["fusion/gen/mu1/b"].data
     want_sg2 = s @ params["fusion/gen/sg2/w"].data + params["fusion/gen/sg2/b"].data
-    assert np.allclose(inst.mu1, want_mu1, atol=1e-6)
-    assert np.allclose(inst.sigma2, want_sg2, atol=1e-6)
+    assert np.allclose(inst["mu1"], want_mu1, atol=1e-6)
+    assert np.allclose(inst["sg2"], want_sg2, atol=1e-6)
 
 
 def test_zero_indicator_instantiates_identity_scale():
     """The sigma generators start with bias 1 and the mu generators with
     bias 0, so a fresh block begins as a plain normalization."""
-    inst = instantiate_block(np.zeros(8, np.float32), make_params())
-    assert np.array_equal(inst.sigma1, np.ones(8, np.float32))
-    assert np.array_equal(inst.sigma2, np.ones(8, np.float32))
-    assert np.array_equal(inst.mu1, np.zeros(8, np.float32))
-    assert np.array_equal(inst.mu2, np.zeros(8, np.float32))
+    inst = instantiate(np.zeros(8, np.float32), make_params())
+    assert np.array_equal(inst["sg1"], np.ones(8, np.float32))
+    assert np.array_equal(inst["sg2"], np.ones(8, np.float32))
+    assert np.array_equal(inst["mu1"], np.zeros(8, np.float32))
+    assert np.array_equal(inst["mu2"], np.zeros(8, np.float32))
 
 
 def test_instantiate_heads_are_independent():
     params = dict(make_params().items())
     s = np.random.default_rng(5).normal(size=8).astype(np.float32)
-    before = instantiate_block(s, ParameterSet(params))
+    before = instantiate(s, ParameterSet(params))
     perturbed = dict(params)
     perturbed["fusion/gen/mu1/w"] = Tensor(
         params["fusion/gen/mu1/w"].data + 0.5
     )
-    after = instantiate_block(s, ParameterSet(perturbed))
-    assert not np.allclose(after.mu1, before.mu1)
-    assert np.array_equal(after.sigma2, before.sigma2)
-    assert np.array_equal(after.mu2, before.mu2)
-    assert np.array_equal(after.sigma1, before.sigma1)
+    after = instantiate(s, ParameterSet(perturbed))
+    assert not np.allclose(after["mu1"], before["mu1"])
+    assert np.array_equal(after["sg2"], before["sg2"])
+    assert np.array_equal(after["mu2"], before["mu2"])
+    assert np.array_equal(after["sg1"], before["sg1"])
 
 
 # -- adaptive normalization -------------------------------------------------
@@ -178,17 +193,20 @@ def test_adaptive_norm_node_matches_numpy():
 
 
 def rand_instance(rng, d=8):
-    return BlockInstance(*(rng.normal(size=d).astype(np.float32) for _ in range(4)))
+    return {k: rng.normal(size=d).astype(np.float32) for k in ("mu1", "sg1", "mu2", "sg2")}
 
 
 def test_fusion_step_preserves_shape_and_counts_steps():
-    params = make_params()
+    """A step maps L x d tokens to L x d; with unshared blocks the step
+    index picks that step's own block."""
+    params = make_params(share=False)
     rng = np.random.default_rng(9)
-    f = FusedTokens(rng.normal(size=(4, 8)).astype(np.float32), step=0)
+    f = rng.normal(size=(4, 8)).astype(np.float32)
     inst = rand_instance(rng)
-    out = fusion_step(f, inst, params)
-    assert out.tokens.shape == (4, 8)
-    assert out.step == 1
+    first = apply_step(f, inst, params, step=0, share_block=False)
+    second = apply_step(f, inst, params, step=1, share_block=False)
+    assert first.shape == (4, 8)
+    assert not np.allclose(first, second, atol=1e-4)
 
 
 def test_zero_instantiation_erases_input_content():
@@ -196,10 +214,10 @@ def test_zero_instantiation_erases_input_content():
     cannot depend on what the tokens contained."""
     params = make_params()
     rng = np.random.default_rng(10)
-    zero = BlockInstance(*(np.zeros(8, np.float32) for _ in range(4)))
-    a = fusion_step(FusedTokens(rng.normal(size=(4, 8)).astype(np.float32), 0), zero, params)
-    b = fusion_step(FusedTokens(rng.normal(size=(4, 8)).astype(np.float32), 0), zero, params)
-    assert np.allclose(a.tokens, b.tokens, atol=1e-6)
+    zero = {k: np.zeros(8, np.float32) for k in ("mu1", "sg1", "mu2", "sg2")}
+    a = apply_step(rng.normal(size=(4, 8)).astype(np.float32), zero, params)
+    b = apply_step(rng.normal(size=(4, 8)).astype(np.float32), zero, params)
+    assert np.allclose(a, b, atol=1e-6)
 
 
 def test_meta_sharing_single_block_parameter_set():
@@ -220,37 +238,28 @@ def test_shared_steps_use_identical_weights():
     params = make_params(share=True)
     rng = np.random.default_rng(11)
     inst = rand_instance(rng)
-    f0 = FusedTokens(rng.normal(size=(3, 8)).astype(np.float32), 0)
-    f1 = fusion_step(f0, inst, params, step=0)
-    f2 = fusion_step(f1, inst, params, step=1)
-    again = fusion_step(f1, inst, params, step=0)
-    assert np.array_equal(f2.tokens, again.tokens)
+    f0 = rng.normal(size=(3, 8)).astype(np.float32)
+    f1 = apply_step(f0, inst, params, step=0)
+    f2 = apply_step(f1, inst, params, step=1)
+    again = apply_step(f1, inst, params, step=0)
+    assert np.array_equal(f2, again)
 
 
 # -- matching and losses ----------------------------------------------------
 
 
-def test_cosine_basics_and_zero_norm_warning():
-    assert abs(cosine(np.array([1.0, 0.0]), np.array([2.0, 0.0])) - 1.0) < 1e-12
-    assert abs(cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0]))) < 1e-12
-    a = np.array([0.3, -0.7, 0.1])
-    assert abs(cosine(a, 5.0 * a) - 1.0) < 1e-9
-    with pytest.warns(UserWarning):
-        assert cosine(np.zeros(3), a) == 0.0
-
-
 def test_matching_score_self_similarity():
-    params = make_params()
-    # pooled value of a single-row token set is that row itself
+    """The matching score is the cosine of the pooled query and target
+    features; the pooled value of a single-row token set is that row."""
     row = np.random.default_rng(12).normal(size=8).astype(np.float32)
-    pool_params = ParameterSet(
-        dict(params.items())
-        | {"pool/w": Tensor(np.zeros((8, 1), np.float32)), "pool/b": Tensor.zeros((1,))}
-    )
-    m = matching_score(FusedTokens(row[None, :], 3), row, pool_params)
-    assert abs(m - 1.0) < 1e-6
-    m2 = matching_score(FusedTokens(row[None, :], 3), 7.0 * row, pool_params)
-    assert abs(m2 - 1.0) < 1e-6
+    pool_params = {"pool/w": ag.leaf(np.zeros((8, 1), np.float32)),
+                   "pool/b": ag.leaf(np.zeros(1, np.float32))}
+    _, pooled = attention_pool_batch_node(pool_params, ag.leaf(row[None, None, :]))
+    for target in (row, 7.0 * row):
+        u = l2_normalize_rows_node(pooled)
+        v = l2_normalize_rows_node(ag.leaf(target[None, :]))
+        m = float(ag.matmul(u, ag.transpose(v)).value[0, 0])
+        assert abs(m - 1.0) < 1e-6
 
 
 def test_batch_loss_uniform_equals_log_n():
@@ -301,13 +310,15 @@ def test_batch_loss_node_matches_numpy():
 
 
 def test_total_loss_composition():
-    assert total_loss(1.5, 0.01, 200.0) == pytest.approx(3.5)
-    assert total_loss(1.5, 0.7, 0.0) == 1.5
-    assert total_loss(2.0, 0.3, 200.0) >= 2.0
+    def total(l_m, l_c, alpha):
+        return float(total_loss_node(ag.leaf(np.float32(l_m)), ag.leaf(np.float32(l_c)),
+                                     alpha).value)
+
+    assert total(1.5, 0.01, 200.0) == pytest.approx(3.5)
+    assert total(1.5, 0.7, 0.0) == 1.5
+    assert total(2.0, 0.3, 200.0) >= 2.0
     with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, -0.5)
-    node = total_loss_node(ag.leaf(np.float32(1.5)), ag.leaf(np.float32(0.01)), 200.0)
-    assert abs(float(node.value) - 3.5) < 1e-6
+        total(1.0, 1.0, -0.5)
     alone = total_loss_node(ag.leaf(np.float32(1.5)), None, 200.0)
     assert abs(float(alone.value) - 1.5) < 1e-9
     with pytest.raises(ValueError):

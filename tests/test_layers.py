@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccir import autograd as ag
+from ccir.alignment import attention_pool_batch_node
 from ccir.layers import (
     attention_core,
     ffn,
@@ -19,7 +20,6 @@ from ccir.layers import (
     mha,
     pad_segments,
     pair_attention_core,
-    segment_softmax_pool,
     silu,
     transformer_layer,
     uniform_init,
@@ -277,19 +277,16 @@ def test_gru_saturated_update_gate_keeps_state():
 
 
 def test_segment_softmax_pool_matches_per_segment_oracle():
+    """The attention pool softmaxes each example's token logits on its own."""
     rng = np.random.default_rng(12)
     n, L, d = 3, 4, 5
-    toks = rng.normal(size=(n * L, d)).astype(np.float32)
-    logits = rng.normal(size=(n * L, 1)).astype(np.float32)
-    w_flat, pooled = segment_softmax_pool(ag.leaf(toks), ag.leaf(logits), n, L)
+    toks = rng.normal(size=(n, L, d)).astype(np.float32)
+    params = {"pool/w": rng.normal(size=(d, 1)).astype(np.float32),
+              "pool/b": rng.normal(size=1).astype(np.float32)}
+    w_all, pooled = attention_pool_batch_node(as_nodes(params), ag.leaf(toks))
     for i in range(n):
-        seg = slice(i * L, (i + 1) * L)
-        w = np_softmax(logits[seg, 0])
-        assert np.allclose(w_flat.value[seg, 0], w, atol=1e-6)
-        assert np.allclose(pooled.value[i], w @ toks[seg], atol=1e-5)
-    sums = w_flat.value.reshape(n, L).sum(axis=1)
-    assert np.allclose(sums, 1.0, atol=1e-6)
-    # the same segments given as (n, L, d) pool the same way
-    w3, pooled3 = segment_softmax_pool(ag.leaf(toks.reshape(n, L, d)), ag.leaf(logits), n, L)
-    assert np.allclose(w3.value, w_flat.value, atol=1e-6)
-    assert np.allclose(pooled3.value, pooled.value, atol=1e-6)
+        logits = toks[i] @ params["pool/w"] + params["pool/b"]
+        w = np_softmax(logits[:, 0])
+        assert np.allclose(w_all.value[i, :, 0], w, atol=1e-6)
+        assert np.allclose(pooled.value[i], w @ toks[i], atol=1e-5)
+    assert np.allclose(w_all.value.sum(axis=1), 1.0, atol=1e-6)

@@ -187,5 +187,5 @@ def test_heatmap_export_files(tiny_dir, tmp_path):
     export_alignment_heatmap(ckpt, rec, other, ds, tmp_path / "viz_other")
     side_other = json.loads((tmp_path / "viz_other.json").read_text())
     assert not np.allclose(side_other["attention"], side["attention"], atol=1e-6)
-    with pytest.raises(KeyError):
+    with pytest.raises(DataError):
         export_alignment_heatmap(ckpt, rec, "blorp", ds, tmp_path / "v2")
