@@ -159,9 +159,7 @@ def concept_mil_node(bags, table):
     by the attention-weighted logit.  Returns (attention (n, B, C), raw
     scores n x C).
     """
-    n, b, d = bags.shape
-    flat = ag.matmul(ag.reshape(bags, (n * b, d)), ag.transpose(table))
-    logits = ag.reshape(flat, (n, b, table.shape[0]))
+    logits = ag.matmul(bags, ag.transpose(table))
     att = ag.softmax(logits, axis=1)
     return att, ag.sum_(att * logits, axis=1)
 

@@ -8,11 +8,12 @@ call; nodes are never mutated after creation.
 Primitive set: matmul, elementwise add/sub/mul/div (trailing-dim
 broadcasting), sigmoid, tanh, exp, log, sqrt, softplus, constant powers,
 softmax along an axis, sum/mean/variance along an axis, concatenation,
-basic slicing, row gather (embedding lookup), transpose of the last two
-axes; matmul also takes (n, L, d) batches.  Reductions accumulate in
-float64 regardless of storage dtype.  A backward function is given its
-node's gradient and holds the parents and arrays it needs, never the node,
-so a graph holds no reference cycle and dies with its outputs.
+basic slicing, row gather (embedding lookup), transpose of two axes;
+matmul also takes (n, L, d) and (n, H, L, d) stacks.  Reductions
+accumulate in float64 regardless of storage dtype.  A backward function
+is given its node's gradient and holds the parents and arrays it needs,
+never the node, so a graph holds no reference cycle and dies with its
+outputs.
 
 Non-differentiable selections (argmax and friends) are deliberately
 absent: programs that need a hard selection cannot be expressed, which is
@@ -221,22 +222,16 @@ def div(a: Node, b: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _swap(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
-
-
 def matmul(a: Node, b: Node) -> Node:
-    """1-D/2-D products, plus 3-D @ 3-D (example by example) and 3-D @ 2-D
-    (one matrix for every example; its gradient sums over the batch)."""
+    """a @ b in two cases: ``b`` is one matrix for every row of ``a`` (any
+    leading axes, 1-D included; its gradient sums over them), or ``a`` and
+    ``b`` are stacks of matrices with equal leading axes."""
     av, bv = a.value, b.value
-    if not ((av.ndim in (1, 2) and bv.ndim in (1, 2)) or (av.ndim == 3 and bv.ndim in (2, 3))):
-        raise ShapeError(f"matmul: operands must be 1-D/2-D, or 3-D @ 2-D/3-D, "
-                         f"got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2 if bv.ndim > 1 else 0]:
+    if av.ndim < 1 or bv.ndim < 2:
+        raise ShapeError(f"matmul: need a >= 1-D and b >= 2-D, got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
-    if bv.ndim == 3 and av.shape[0] != bv.shape[0]:
-        raise ShapeError(f"matmul: batch sizes differ, {av.shape} @ {bv.shape}")
-    if av.ndim >= 2 and bv.ndim == 2:
+    if bv.ndim == 2:
         # rows @ one matrix: a batch is a single GEMM over all its rows
         rows = av.reshape(-1, av.shape[-1])
         out = Node((rows @ bv).reshape(av.shape[:-1] + bv.shape[1:]), "matmul", (a, b))
@@ -247,21 +242,13 @@ def matmul(a: Node, b: Node) -> Node:
             _accum(b, rows.T @ g)
 
         return _finish(out, backward)
+    if av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeError(f"matmul: batch sizes differ, {av.shape} @ {bv.shape}")
     out = Node(av @ bv, "matmul", (a, b))
 
     def backward(g):
-        if bv.ndim == 3:
-            _accum(a, g @ _swap(bv))
-            _accum(b, _swap(av) @ g)
-        elif av.ndim == 1 and bv.ndim == 2:
-            _accum(a, bv @ g)
-            _accum(b, np.outer(av, g))
-        elif av.ndim == 2 and bv.ndim == 1:
-            _accum(a, np.outer(g, bv))
-            _accum(b, av.T @ g)
-        else:  # 1-D @ 1-D -> scalar
-            _accum(a, g * bv)
-            _accum(b, g * av)
+        _accum(a, g @ np.swapaxes(bv, -1, -2))
+        _accum(b, np.swapaxes(av, -1, -2) @ g)
 
     return _finish(out, backward)
 
@@ -278,14 +265,17 @@ def reshape(a: Node, shape) -> Node:
     return _finish(out, backward)
 
 
-def transpose(a: Node) -> Node:
-    """Swap the last two axes (the matrix transpose of each example)."""
-    if a.value.ndim < 2:
-        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
-    out = Node(_swap(a.value), "transpose", (a,))
+def transpose(a: Node, axis1: int = -2, axis2: int = -1) -> Node:
+    """Swap two axes; by default the last two (the matrix transpose of
+    each example)."""
+    try:
+        val = np.swapaxes(a.value, axis1, axis2)
+    except ValueError as e:
+        raise ShapeError(f"transpose: {e} (shape {a.shape})") from None
+    out = Node(val, "transpose", (a,))
 
     def backward(g):
-        _accum(a, _swap(g))
+        _accum(a, np.swapaxes(g, axis1, axis2))
 
     return _finish(out, backward)
 
@@ -392,7 +382,7 @@ def softmax(a: Node, axis: int) -> Node:
     return _finish(Node(y, "softmax", (a,)), backward)
 
 
-def _restore_axes(g: np.ndarray, axis, keepdims: bool, src_shape) -> np.ndarray:
+def _restore_axes(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
     if keepdims or axis is None:
         return g
     return np.expand_dims(g, axis)
@@ -403,7 +393,7 @@ def sum_(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     out = Node(val.astype(a.value.dtype), "sum", (a,))
 
     def backward(g):
-        g = _restore_axes(g, axis, keepdims, a.shape)
+        g = _restore_axes(g, axis, keepdims)
         _accum(a, np.broadcast_to(g, a.shape).astype(a.value.dtype, copy=False))
 
     return _finish(out, backward)
@@ -415,7 +405,7 @@ def mean(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     n = a.value.size if axis is None else a.shape[axis]
 
     def backward(g):
-        g = _restore_axes(g, axis, keepdims, a.shape)
+        g = _restore_axes(g, axis, keepdims)
         _accum(a, np.broadcast_to(g / n, a.shape).astype(a.value.dtype, copy=False))
 
     return _finish(out, backward)
@@ -432,7 +422,7 @@ def variance(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     n = a.value.size if axis is None else a.shape[axis]
 
     def backward(g):
-        g = _restore_axes(g, axis, keepdims, a.shape)
+        g = _restore_axes(g, axis, keepdims)
         centered = a.value - a.value.mean(axis=axis, keepdims=True, dtype=np.float64).astype(
             a.value.dtype
         )
@@ -485,7 +475,8 @@ def getitem(a: Node, index) -> Node:
 
 
 def gather_rows(table: Node, ids) -> Node:
-    """Embedding lookup: rows of a 2-D table selected by integer ids."""
+    """Embedding lookup: rows of a 2-D table selected by integer ids of any
+    shape; the result is ids.shape + (row width,)."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.value.ndim != 2:
         raise ShapeError(f"gather_rows: table must be 2-D, got {table.shape}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 @dataclass
 class TrainConfig:
@@ -62,9 +62,6 @@ class TrainConfig:
         bad = self.pos_classes - {"noun", "adj", "verb", "adv"}
         if bad:
             raise ValueError(f"unknown part-of-speech classes {sorted(bad)}")
-
-    def with_overrides(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         out = {}

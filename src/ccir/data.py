@@ -165,23 +165,6 @@ class ConceptVocabulary:
     def __contains__(self, c):
         return c in self.index
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for c in self.concepts:
-                fh.write(f"{c}\t{self.tags[c]}\n")
-
-    @classmethod
-    def load(cls, path) -> "ConceptVocabulary":
-        concepts, tags = [], {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                word, tag = line.rstrip("\n").split("\t")
-                concepts.append(word)
-                tags[word] = tag
-        return cls(concepts, tags)
-
 
 # ---------------------------------------------------------------------------
 # concept parsing

@@ -6,7 +6,8 @@ contextualized word features and whose final states give the sentence
 feature.  Both share the model width d.  Concept embeddings are one
 trainable row per vocabulary entry, optionally seeded from a word-vector
 text file ("word v1 ... vd" per line).  The encoders are graph builders
-over a whole batch; image tokens are (n, L, d).
+over a whole batch; image tokens are (n, L, d) and word features
+(n, T, d), padded to the longest modifier.
 """
 
 from __future__ import annotations
@@ -114,33 +115,32 @@ def init_text_encoder(rng, params: dict, vocab_size: int, d: int) -> None:
 def encode_text_batch_node(p, ids_batch: list, d: int):
     """Bidirectional recurrent encoding of a batch of id sequences.
 
-    Returns (word_feats (sum L_w) x d ordered example-major, q_feats N x d,
-    lengths).  Sequences are padded internally; padded positions never
-    update the recurrent state and are excluded from word_feats.
+    Returns (words (n, T, d), q_feats n x d, key_mask (n, 1, T)) with
+    T = the longest sequence; the key mask is 0 on an example's words and
+    -1e9 on its padding.  Padded positions never update the recurrent
+    state.
     """
     if any(len(ids) == 0 for ids in ids_batch):
         raise ValueError("cannot encode an empty word sequence")
     n = len(ids_batch)
-    lengths = [len(ids) for ids in ids_batch]
-    t_max = max(lengths)
+    lengths = np.array([len(ids) for ids in ids_batch])
+    t_max = int(lengths.max())
     hidden = d // 2
 
-    padded = np.zeros((t_max, n), dtype=np.int64)
-    live = np.zeros((t_max, n, 1), dtype=np.float32)
+    padded = np.zeros((n, t_max), dtype=np.int64)
     for i, ids in enumerate(ids_batch):
-        padded[: len(ids), i] = ids
-        live[: len(ids), i, 0] = 1.0
+        padded[i, : len(ids)] = ids
+    live = np.arange(t_max) < lengths[:, None]
 
-    emb_all = ag.gather_rows(p[TEXT_PREFIX + "/embed"], padded.reshape(-1))
+    xs = [ag.gather_rows(p[TEXT_PREFIX + "/embed"], padded[:, t]) for t in range(t_max)]
     zeros = ag.leaf(np.zeros((n, hidden), dtype=np.float32))
 
     def run(direction: str, order):
         states = [None] * t_max
         h = zeros
         for t in order:
-            x_t = emb_all[t * n : (t + 1) * n]
-            mask = live[t]
-            h = ag.leaf(mask) * gru_step(p, TEXT_PREFIX + "/" + direction, x_t, h) + ag.leaf(
+            mask = live[:, t, None].astype(np.float32)
+            h = ag.leaf(mask) * gru_step(p, TEXT_PREFIX + "/" + direction, xs[t], h) + ag.leaf(
                 1.0 - mask
             ) * h
             states[t] = h
@@ -149,14 +149,13 @@ def encode_text_batch_node(p, ids_batch: list, d: int):
     fwd_states, fwd_final = run("fwd", range(t_max))
     bwd_states, bwd_final = run("bwd", range(t_max - 1, -1, -1))
 
-    valid_rows = [t * n + i for i, L in enumerate(lengths) for t in range(L)]
-    fwd_stack = ag.concat(fwd_states, axis=0)
-    bwd_stack = ag.concat(bwd_states, axis=0)
-    wf = ag.gather_rows(fwd_stack, valid_rows)
-    wb = ag.gather_rows(bwd_stack, valid_rows)
-    word_feats = linear(p, TEXT_PREFIX + "/tproj", ag.concat([wf, wb], axis=1))
+    # time-major (t * n + i) rows, read back example-major as (n, T, 2 * hidden)
+    states = ag.concat([ag.concat(fwd_states, axis=0), ag.concat(bwd_states, axis=0)], axis=1)
+    rows = np.arange(t_max) * n + np.arange(n)[:, None]
+    words = linear(p, TEXT_PREFIX + "/tproj", ag.gather_rows(states, rows))
     q_feats = linear(p, TEXT_PREFIX + "/qproj", ag.concat([fwd_final, bwd_final], axis=1))
-    return word_feats, q_feats, lengths
+    key_mask = np.where(live, 0.0, -1e9).astype(np.float32)[:, None, :]
+    return words, q_feats, key_mask
 
 
 # ---------------------------------------------------------------------------

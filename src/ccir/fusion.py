@@ -18,6 +18,8 @@ import numpy as np
 
 from . import autograd as ag
 from .layers import (
+    NORM_EPS,
+    adaptive_norm_node,
     attention_core,
     ffn,
     init_ffn,
@@ -27,12 +29,10 @@ from .layers import (
     layer_norm,
     linear,
     mha,
-    pad_segments,
 )
 from .tensor import Tensor
 
 PREFIX = "fusion"
-NORM_EPS = 1e-5
 COSINE_EPS = 1e-12
 
 
@@ -72,15 +72,14 @@ def init_fusion(rng, params: dict, d: int, k_steps: int, share_block: bool = Tru
 # ---------------------------------------------------------------------------
 
 
-def fusion_sequence_batch_node(p, q, word_feats, lengths, k_steps: int, n_heads: int):
+def fusion_sequence_batch_node(p, q, words, key_mask, k_steps: int, n_heads: int):
     """K indicators per example: attended word summaries driven by FC_i(q).
 
-    q: n x d; word_feats: (sum L_w) x d example-major.  Each example's
-    query attends over its own words, padded to (n, T) keys with a key
-    mask.  Returns a list of K nodes, each n x d.
+    q: n x d; words: (n, T, d) padded word features with their (n, 1, T)
+    additive key mask, so each example's query attends over its own words.
+    Returns a list of K nodes, each n x d.
     """
     n, d = q.shape
-    words, key_mask = pad_segments(word_feats, lengths)
     indicators = []
     for i in range(k_steps):
         fq = ag.reshape(linear(p, f"{PREFIX}/seq/fc{i}", q), (n, 1, d))
@@ -97,14 +96,6 @@ def instantiate_block_batch_node(p, s_i):
         "mu2": linear(p, f"{PREFIX}/gen/mu2", s_i),
         "sg2": linear(p, f"{PREFIX}/gen/sg2", s_i),
     }
-
-
-def adaptive_norm_node(x, mu, sigma, eps: float = NORM_EPS):
-    """Per-token standardization over the last axis, then externally
-    supplied scale and shift."""
-    m = ag.mean(x, axis=-1, keepdims=True)
-    v = ag.variance(x, axis=-1, keepdims=True)
-    return sigma * ((x - m) / ag.sqrt(v + eps)) + mu
 
 
 def fusion_step_batch_node(p, f_prev, inst, n_heads: int, step: int,

@@ -33,7 +33,17 @@ def linear(p, prefix: str, x):
     return ag.matmul(x, p[prefix + "/w"]) + p[prefix + "/b"]
 
 
-# -- layer norm (learned affine) -------------------------------------------
+# -- layer norm -------------------------------------------------------------
+
+NORM_EPS = 1e-5
+
+
+def adaptive_norm_node(x, mu, sigma):
+    """Per-token standardization over the last axis, then externally
+    supplied scale and shift."""
+    m = ag.mean(x, axis=-1, keepdims=True)
+    v = ag.variance(x, axis=-1, keepdims=True)
+    return sigma * ((x - m) / ag.sqrt(v + NORM_EPS)) + mu
 
 
 def init_layer_norm(rng, params: dict, prefix: str, d: int) -> None:
@@ -41,13 +51,9 @@ def init_layer_norm(rng, params: dict, prefix: str, d: int) -> None:
     params[prefix + "/b"] = Tensor.zeros((d,))
 
 
-def layer_norm(p, prefix: str, x, eps: float = 1e-5):
-    """Per-token standardization over channels (the last axis) with learned
-    scale/shift."""
-    m = ag.mean(x, axis=-1, keepdims=True)
-    v = ag.variance(x, axis=-1, keepdims=True)
-    norm = (x - m) / ag.sqrt(v + eps)
-    return norm * p[prefix + "/g"] + p[prefix + "/b"]
+def layer_norm(p, prefix: str, x):
+    """Standardization with a learned scale and shift."""
+    return adaptive_norm_node(x, p[prefix + "/b"], p[prefix + "/g"])
 
 
 # -- multi-head attention ---------------------------------------------------
@@ -56,37 +62,26 @@ def layer_norm(p, prefix: str, x, eps: float = 1e-5):
 def attention_core(q, k, v, n_heads: int, key_mask=None):
     """Scaled dot-product attention within each example.
 
-    q: (n, Lq, d), k and v: (n, Lk, d), already projected; each head
-    attends on (n, L, d/n_heads) slices, so only n * Lq * Lk scores are
-    formed.  2-D operands are a single example.  ``key_mask`` (a constant
-    array broadcastable to (n, Lq, Lk), 0 for a live key and -1e9 for a
-    padded one) is added to the logits before the softmax.
+    q: (n, Lq, d), k and v: (n, Lk, d), already projected; 2-D operands
+    are a single example.  The heads are split onto an axis of their own,
+    so one batched product forms all n * n_heads * Lq * Lk scores.
+    ``key_mask`` (a constant array broadcastable to (n, Lq, Lk), 0 for a
+    live key and -1e9 for a padded one) is added to the logits before the
+    softmax.
     """
     d = q.shape[-1]
     if d % n_heads:
         raise ValueError(f"width {d} not divisible by {n_heads} heads")
     dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-    outs = []
-    for h in range(n_heads):
-        cols = (Ellipsis, slice(h * dh, (h + 1) * dh))
-        scores = ag.matmul(q[cols], ag.transpose(k[cols])) * scale
-        if key_mask is not None:
-            scores = scores + key_mask
-        att = ag.softmax(scores, axis=-1)
-        outs.append(ag.matmul(att, v[cols]))
-    return ag.concat(outs, axis=-1)
 
+    def heads(x):  # (..., L, d) -> (..., n_heads, L, dh)
+        return ag.transpose(ag.reshape(x, x.shape[:-1] + (n_heads, dh)), -3, -2)
 
-def pad_segments(x, lengths):
-    """Example-major (sum L) x d rows as (n, T, d), T = max(lengths), with
-    the additive (n, 1, T) key mask: 0 on each example's own rows, -1e9 on
-    its padding (which repeats its last row)."""
-    lengths = np.asarray(lengths)
-    pos = np.arange(lengths.max())
-    rows = np.cumsum(lengths)[:, None] - lengths[:, None] + np.minimum(pos, lengths[:, None] - 1)
-    padded = ag.reshape(ag.gather_rows(x, rows.reshape(-1)), rows.shape + (x.shape[1],))
-    return padded, np.where(pos < lengths[:, None], 0.0, -1e9).astype(np.float32)[:, None, :]
+    scores = ag.matmul(heads(q), ag.transpose(heads(k))) * (1.0 / math.sqrt(dh))
+    if key_mask is not None:
+        scores = scores + np.expand_dims(key_mask, -3)
+    out = ag.matmul(ag.softmax(scores, axis=-1), heads(v))
+    return ag.reshape(ag.transpose(out, -3, -2), q.shape)
 
 
 def pair_attention_core(q, k, v, k_pair, v_pair, n_heads: int):

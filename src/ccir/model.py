@@ -83,15 +83,13 @@ def _visual_tokens(p, inputs, n_examples: int, seg_len: int, cfg: TrainConfig):
     return all_tokens[:n_examples], all_tokens[n_examples:]
 
 
-def _query_feature(p, ref_tokens, q, word_feats, lengths, cfg: TrainConfig):
+def _query_feature(p, ref_tokens, q, words, key_mask, cfg: TrainConfig):
     """(fused tokens, pooled query feature) after K instantiated fusion
     steps; without fusion, (None, the pooled reference and q projected)."""
     if cfg.remove_fusion:
         _, ref_pooled = attention_pool_batch_node(p, ref_tokens)
         return None, linear(p, "nofusion", ag.concat([ref_pooled, q], axis=1))
-    indicators = fusion_sequence_batch_node(
-        p, q, word_feats, lengths, cfg.k_steps, cfg.n_heads
-    )
+    indicators = fusion_sequence_batch_node(p, q, words, key_mask, cfg.k_steps, cfg.n_heads)
     f = ref_tokens
     for step, s_i in enumerate(indicators):
         inst = instantiate_block_batch_node(p, s_i)
@@ -114,7 +112,7 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
 
     def program(inputs, p):
         ref_tok, tgt_tok = _visual_tokens(p, inputs, n_examples, seg_len, cfg)
-        word_feats, q, lengths = encode_text_batch_node(p, ids_batch, cfg.d)
+        words, q, key_mask = encode_text_batch_node(p, ids_batch, cfg.d)
 
         outputs = {}
 
@@ -141,7 +139,7 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
         _, v = attention_pool_batch_node(p, tgt_tok)
 
         # query-side feature
-        fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, cfg)
+        fused, u = _query_feature(p, ref_tok, q, words, key_mask, cfg)
 
         score_mat = ag.matmul(l2_normalize_rows_node(u), ag.transpose(l2_normalize_rows_node(v)))
         if cfg.context_score_on and fused is not None:
@@ -197,8 +195,8 @@ def embed_queries(params: ParameterSet, ref_token_stack: np.ndarray,
     context score is enabled (None otherwise)."""
     p = _params_to_nodes(params)
     ref_tok = ag.leaf(_examples(ref_token_stack, n_examples, seg_len))
-    word_feats, q, lengths = encode_text_batch_node(p, ids_batch, cfg.d)
-    fused, u = _query_feature(p, ref_tok, q, word_feats, lengths, cfg)
+    words, q, key_mask = encode_text_batch_node(p, ids_batch, cfg.d)
+    fused, u = _query_feature(p, ref_tok, q, words, key_mask, cfg)
     ctx = None
     if cfg.context_score_on and fused is not None:
         ctx = ag.mean(fused, axis=1).value.astype(np.float32)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from .encoders import (
     tokenize,
     words_to_ids,
 )
-from .metrics import Metrics, compute_metrics, visually_similar_subset
+from .metrics import Metrics, compute_metrics, rank_rows, visually_similar_subset
 from .model import (
     alignment_pass,
     build_training_program,
@@ -162,17 +163,25 @@ def load_dataset(data_dir) -> Dataset:
     for name, records in (("train.jsonl", train), ("val.jsonl", val)):
         for i, rec in enumerate(records):
             _require_keys(rec, RECORD_KEYS, f"{root / name} record {i + 1}")
-    store = ImageStore(root / "images.nct", root / "images.idx.json")
+    try:
+        store = ImageStore(root / "images.nct", root / "images.idx.json")
+    except ValueError as e:
+        raise DataError(f"malformed image index {root / 'images.idx.json'}: {e}") from e
     cell_px = meta["cell_px"]
     patches = {}
-    for rec in train + val:
-        for key in ("ref_image", "tgt_image"):
-            img_id = rec[key]
-            if img_id not in patches:
-                if img_id not in store:
-                    raise DataError(f"image id {img_id!r} referenced but not stored")
-                patches[img_id] = patchify(store.get(img_id), cell_px)
-    store.close()
+    try:
+        for rec in train + val:
+            for key in ("ref_image", "tgt_image"):
+                img_id = rec[key]
+                if img_id not in patches:
+                    if img_id not in store:
+                        raise DataError(f"image id {img_id!r} referenced but not stored")
+                    try:
+                        patches[img_id] = patchify(store.get(img_id), cell_px)
+                    except (ValueError, struct.error) as e:
+                        raise DataError(f"corrupt image store {root / 'images.nct'}: {e}") from e
+    finally:
+        store.close()
     return Dataset(
         train=train,
         val=val,
@@ -410,6 +419,7 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
         scores = scores + l2_normalize_rows(ctx_u) @ l2_normalize_rows(tgt_mean).T
 
     target_indices = [gallery_pos[r["tgt_image"]] for r in query_records]
+    id_order = np.argsort(np.argsort(np.asarray(gallery_ids, dtype=object)))
 
     # visually-similar candidate subsets from the frozen seed-init encoder
     cache_key = (tuple(gallery_ids), cfg.seed, cfg.subset_size)
@@ -417,7 +427,6 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
         subset_of_target = subsets_cache[cache_key]
     else:
         feats = frozen_encoder_features(dataset, cfg, gallery_ids)
-        id_order = np.argsort(np.argsort(np.asarray(gallery_ids, dtype=object)))
         distinct = sorted(set(target_indices))
         subset_of_target = dict(zip(
             distinct, visually_similar_subset(distinct, feats, cfg.subset_size, id_order)
@@ -431,10 +440,9 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     )
 
     if score_dump_path is not None:
-        id_order = np.argsort(np.argsort(np.asarray(gallery_ids, dtype=object)))
+        orderings = rank_rows(scores, id_order)
         with open(score_dump_path, "w", encoding="utf-8") as fh:
-            for i, rec in enumerate(query_records):
-                order = np.lexsort((id_order, -scores[i].astype(np.float64)))
+            for i, (rec, order) in enumerate(zip(query_records, orderings)):
                 fh.write(json.dumps({
                     "query": rec["id"],
                     "ranked": [gallery_ids[j] for j in order],

@@ -237,6 +237,12 @@ def test_grad_check_every_primitive():
         "transpose_batched": lambda i, p: {
             "loss": ag.sum_(ag.transpose(p["p0"]) * ag.leaf(rng_bt))
         },
+        "transpose_heads": lambda i, p: {
+            "loss": ag.sum_(ag.transpose(p["p0"], -3, -2) * ag.leaf(rng_th))
+        },
+        "matmul_stacked": lambda i, p: {
+            "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm4))
+        },
     }
 
     rng = np.random.default_rng(42)
@@ -247,6 +253,8 @@ def test_grad_check_every_primitive():
     rng_sl = rng.normal(size=(2, 2)).astype(np.float32)
     rng_bmm = rng.normal(size=(2, 4, 2)).astype(np.float32)
     rng_bt = rng.normal(size=(2, 3, 4)).astype(np.float32)
+    rng_th = rng.normal(size=(2, 4, 3, 2)).astype(np.float32)
+    rng_bmm4 = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
 
     two_param = {"add", "sub", "mul", "div", "concat"}
     for name, build in cases.items():
@@ -258,6 +266,10 @@ def test_grad_check_every_primitive():
             shapes = [(2, 4, 3), (3, 2)]
         elif name == "transpose_batched":
             shapes = [(2, 4, 3)]
+        elif name == "transpose_heads":
+            shapes = [(2, 3, 4, 2)]
+        elif name == "matmul_stacked":
+            shapes = [(2, 2, 3, 2), (2, 2, 2, 3)]
         elif name in two_param:
             shapes = [shape_a, shape_b]
         else:
@@ -332,3 +344,14 @@ def test_batched_matmul_shapes_and_errors():
         ag.matmul(ag.leaf(np.ones((4, 3), np.float32)), ag.leaf(np.ones((2, 3, 5), np.float32)))
     with pytest.raises(ag.ShapeError):
         ag.transpose(ag.leaf(np.ones(3, np.float32)))
+    x = ag.leaf(np.ones((2, 3, 4, 5), np.float32))
+    assert ag.transpose(x, -3, -2).shape == (2, 4, 3, 5)
+    assert ag.matmul(x, ag.leaf(np.ones((2, 3, 5, 6), np.float32))).shape == (2, 3, 4, 6)
+    vec = ag.leaf(np.ones(5, np.float32))
+    assert ag.matmul(vec, ag.leaf(np.ones((5, 2), np.float32))).shape == (2,)
+    with pytest.raises(ag.ShapeError, match="batch sizes"):
+        ag.matmul(x, ag.leaf(np.ones((3, 2, 5, 6), np.float32)))
+    with pytest.raises(ag.ShapeError):
+        ag.matmul(ag.leaf(np.ones((4, 3), np.float32)), ag.leaf(np.ones(3, np.float32)))
+    with pytest.raises(ag.ShapeError):
+        ag.transpose(a, -4, -1)

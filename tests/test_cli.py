@@ -206,6 +206,38 @@ def test_exit_3_on_malformed_dataset_file(data_dir, tmp_path, capsys, name, key)
         assert "record 2" in err
 
 
+def _bad_magic(raw: bytes, last: int) -> bytes:
+    return b"XXXX" + raw[4:]
+
+
+def _truncated_header(raw: bytes, last: int) -> bytes:
+    return raw[: last + 6]  # the last record's magic, then half of its rank field
+
+
+def _truncated_file(raw: bytes, last: int) -> bytes:
+    return raw[:-3]
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("images.nct", _bad_magic),
+    ("images.nct", _truncated_header),
+    ("images.nct", _truncated_file),
+    ("images.idx.json", _truncated_file),
+])
+def test_exit_3_on_corrupt_image_store(data_dir, tmp_path, capsys, name, corrupt):
+    """A damaged image store (bad record magic, truncated header or
+    payload) or index exits 3 naming the file, not with a traceback."""
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    last = max(json.loads((bad / "images.idx.json").read_text(encoding="utf-8")).values())
+    (bad / name).write_bytes(corrupt((bad / name).read_bytes(), last))
+    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"), "--seed", "0",
+                 "--quiet", "--set", "epochs=1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_exit_3_on_malformed_checkpoint(run_dir, data_dir, tmp_path, capsys):
     """A sidecar with an unknown config key or a missing key, or a
     truncated container, exits 3."""

@@ -10,7 +10,6 @@ from ccir.data import (
     COLORS,
     LEXICON,
     SHAPES,
-    ConceptVocabulary,
     DataConfig,
     ImageStore,
     ImageStoreWriter,
@@ -211,15 +210,6 @@ def test_build_vocabulary_sorted_and_tagged():
     assert vocab.tags["circle"] == "noun"
     assert vocab.tags["now"] == "adv"
     assert "a" not in vocab and "the" not in vocab
-
-
-def test_vocabulary_file_round_trip(tmp_path):
-    vocab = build_vocabulary(["make the circle red", "let the ring swim now"])
-    path = tmp_path / "concepts.tsv"
-    vocab.save(path)
-    loaded = ConceptVocabulary.load(path)
-    assert loaded.concepts == vocab.concepts
-    assert loaded.tags == vocab.tags
 
 
 def test_zero_shot_split_exact_set_equality():

@@ -125,11 +125,11 @@ def make_text_params(seed=0, vocab=12, d=8):
 
 
 def encode_texts(batch, params):
-    """(word features (sum L_w) x d, sentence features n x d) of id lists."""
+    """(padded word features (n, T, d), sentence features n x d, key mask
+    (n, 1, T)) of id lists."""
     p = {k: ag.leaf(v) for k, v in params.items()}
-    t_node, q_node, lengths = encode_text_batch_node(p, batch, 8)
-    assert lengths == [len(ids) for ids in batch]
-    return t_node.value, q_node.value
+    words, q, key_mask = encode_text_batch_node(p, batch, 8)
+    return words.value, q.value, key_mask
 
 
 def test_encode_text_shapes_and_clamping():
@@ -139,39 +139,41 @@ def test_encode_text_shapes_and_clamping():
     index = {f"w{i}": i for i in range(12)}
     ids = words_to_ids(["w3", "w5", "zzz"], index)
     assert ids == [3, 5, UNK_ID]
-    t, q = encode_texts([ids], params)
+    t, q, _ = encode_texts([ids], params)
     assert q.shape == (1, 8)
-    assert t.shape == (3, 8)
+    assert t.shape == (1, 3, 8)
     with pytest.raises(IndexError):
         encode_texts([[3, 5, 99]], params)
 
 
 def test_text_encoding_is_order_sensitive():
     params = make_text_params()
-    _, a = encode_texts([[2, 3, 4]], params)
-    _, b = encode_texts([[4, 3, 2]], params)
+    _, a, _ = encode_texts([[2, 3, 4]], params)
+    _, b, _ = encode_texts([[4, 3, 2]], params)
     assert not np.allclose(a, b, atol=1e-4)
 
 
 def test_batched_text_matches_single_ragged_lengths():
     params = make_text_params()
     batch = [[1, 2, 3, 4], [5, 6], [7, 8, 9]]
-    t_all, q_all = encode_texts(batch, params)
-    assert t_all.shape == (9, 8)
-    offset = 0
+    t_all, q_all, mask = encode_texts(batch, params)
+    assert t_all.shape == (3, 4, 8)
+    # 0 on each example's words, -1e9 on its padding
+    want = np.array([[[0, 0, 0, 0]], [[0, 0, -1e9, -1e9]], [[0, 0, 0, -1e9]]], np.float32)
+    assert np.array_equal(mask, want)
     for i, ids in enumerate(batch):
-        t, q = encode_texts([ids], params)
+        t, q, m = encode_texts([ids], params)
+        assert np.array_equal(m, np.zeros((1, 1, len(ids)), np.float32))
         assert np.allclose(q_all[i], q[0], atol=1e-5)
-        assert np.allclose(t_all[offset : offset + len(ids)], t, atol=1e-5)
-        offset += len(ids)
+        assert np.allclose(t_all[i, : len(ids)], t[0], atol=1e-5)
 
 
 def test_bidirectional_context_flows_both_ways():
     """Changing the last word must alter the first word's feature row."""
     params = make_text_params()
-    a, _ = encode_texts([[1, 2, 3]], params)
-    b, _ = encode_texts([[1, 2, 4]], params)
-    assert not np.allclose(a[0], b[0], atol=1e-5)
+    a, _, _ = encode_texts([[1, 2, 3]], params)
+    b, _, _ = encode_texts([[1, 2, 4]], params)
+    assert not np.allclose(a[0, 0], b[0, 0], atol=1e-5)
 
 
 def test_word_vector_file_parsing(tmp_path):

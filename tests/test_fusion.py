@@ -34,8 +34,8 @@ def nodes(params):
 
 def indicators(q, t, params, k_steps):
     """K x d step indicators of one example: query q (d,), words t (L_w x d)."""
-    out = fusion_sequence_batch_node(nodes(params), ag.leaf(q[None]), ag.leaf(t), [len(t)],
-                                     k_steps, 2)
+    out = fusion_sequence_batch_node(nodes(params), ag.leaf(q[None]), ag.leaf(t[None]),
+                                     np.zeros((1, 1, len(t)), np.float32), k_steps, 2)
     return np.stack([nd.value[0] for nd in out])
 
 
@@ -89,6 +89,24 @@ def test_sequence_steps_differ_with_multiple_words():
     s = indicators(q, t, params, k_steps=3)
     assert not np.allclose(s[0], s[1], atol=1e-4)
     assert not np.allclose(s[1], s[2], atol=1e-4)
+
+
+def test_sequence_ignores_padded_words():
+    """In a ragged batch, overwriting the padded word rows leaves every
+    indicator bit-identical."""
+    params = make_params()
+    rng = np.random.default_rng(5)
+    q = rng.normal(size=(3, 8)).astype(np.float32)
+    words = rng.normal(size=(3, 5, 8)).astype(np.float32)
+    live = np.arange(5) < np.array([5, 2, 3])[:, None]
+    key_mask = np.where(live, 0.0, -1e9).astype(np.float32)[:, None, :]
+
+    def run(w):
+        out = fusion_sequence_batch_node(nodes(params), ag.leaf(q), ag.leaf(w), key_mask, 3, 2)
+        return np.stack([nd.value for nd in out])
+
+    overwritten = np.where(live[..., None], words, 1e3 * rng.normal(size=words.shape))
+    assert np.array_equal(run(words), run(overwritten.astype(np.float32)))
 
 
 # -- block instantiation ----------------------------------------------------

@@ -18,7 +18,6 @@ from ccir.layers import (
     layer_norm,
     linear,
     mha,
-    pad_segments,
     pair_attention_core,
     silu,
     transformer_layer,
@@ -120,15 +119,6 @@ def test_attention_rejects_indivisible_heads():
         attention_core(x, x, x, n_heads=2)
 
 
-def test_pad_segments_exact():
-    rows = ag.leaf(np.arange(3, dtype=np.float32)[:, None])
-    padded, mask = pad_segments(rows, [2, 1])
-    want = np.array([[[0, 0]], [[0, -1e9]]], dtype=np.float32)
-    assert np.array_equal(mask, want)
-    # the padding repeats the example's last row
-    assert np.array_equal(padded.value[..., 0], [[0, 1], [2, 2]])
-
-
 def test_masked_attention_isolates_segments():
     """Unequal segments padded to (n, T) keys: shuffling one segment must
     not leak into the other's outputs."""
@@ -137,8 +127,11 @@ def test_masked_attention_isolates_segments():
     a = rng.normal(size=(3, d)).astype(np.float32)
     b = rng.normal(size=(2, d)).astype(np.float32)
 
+    mask = np.array([[[0, 0, 0]], [[0, 0, -1e9]]], np.float32)
+
     def run(second):
-        x, mask = pad_segments(ag.leaf(np.concatenate([a, second])), [3, 2])
+        # the padding repeats the second segment's last row
+        x = ag.leaf(np.stack([a, np.concatenate([second, second[-1:]])]))
         return attention_core(x, x, x, 2, mask).value
 
     out1 = run(b)
@@ -160,7 +153,8 @@ def test_batched_attention_matches_dense_masked_oracle():
     assert np.allclose(got.reshape(n * L, d), want, atol=1e-5)
 
     lengths = [4, 1, 3]
-    _, mask = pad_segments(ag.leaf(np.zeros((sum(lengths), 1), np.float32)), lengths)
+    mask = np.where(np.arange(L) < np.array(lengths)[:, None], 0.0, -1e9).astype(np.float32)
+    mask = mask[:, None, :]
     got = attention_core(*(ag.leaf(a) for a in (q, k, v)), heads, mask).value
     # each query row takes the block row of its example's first key
     starts = np.cumsum(lengths) - lengths

@@ -122,6 +122,7 @@ def test_checkpoint_round_trip(tiny_dir, tmp_path):
     assert loaded.epoch == ckpt.epoch
     assert loaded.text_vocab == ckpt.text_vocab
     assert loaded.concept_vocab.concepts == ckpt.concept_vocab.concepts
+    assert loaded.concept_vocab.tags == ckpt.concept_vocab.tags
     assert loaded.grid == ckpt.grid
     for path in ckpt.params.paths():
         assert np.array_equal(loaded.params[path].data, ckpt.params[path].data)
