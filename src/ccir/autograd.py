@@ -57,10 +57,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def T(self) -> "Node":
-        return transpose(self)
-
     def argmax(self, axis=None):
         raise GraphError(
             "argmax is a hard selection and has no gradient; "
@@ -285,10 +281,15 @@ def transpose(a: Node, axis1: int = -2, axis2: int = -1) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x|."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
 def sigmoid(a: Node) -> Node:
     x = a.value
-    t = np.exp(-np.abs(x))
-    val = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t)).astype(x.dtype, copy=False)
+    val = _stable_sigmoid(x).astype(x.dtype, copy=False)
 
     def backward(g):
         _accum(a, g * val * (1.0 - val))
@@ -339,10 +340,7 @@ def softplus(a: Node) -> Node:
     out = Node(np.logaddexp(0.0, a.value).astype(a.value.dtype, copy=False), "softplus", (a,))
 
     def backward(g):
-        x = a.value
-        t = np.exp(-np.abs(x))
-        sig = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-        _accum(a, g * sig)
+        _accum(a, g * _stable_sigmoid(a.value))
 
     return _finish(out, backward)
 

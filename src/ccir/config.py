@@ -40,7 +40,6 @@ class TrainConfig:
     plain_layer_norm: bool = False
     remove_concept_module: bool = False
     context_score_on: bool = False
-    share_block_weights: bool = True
 
     def __post_init__(self):
         if self.batch_size < 2:

@@ -200,7 +200,8 @@ def build_vocabulary(train_modifiers, lexicon: dict = LEXICON,
 
 def make_zero_shot_split(train_modifiers, val_triplets, lexicon: dict = LEXICON,
                          pos_set: frozenset = ALL_POS):
-    """Concepts unique to validation, plus the val triplets that use them."""
+    """Concepts unique to validation, plus the val records (dicts with a
+    "modifier") that use them."""
     if not train_modifiers or not val_triplets:
         raise ValueError("both splits must be non-empty")
     train_concepts = set()
@@ -208,24 +209,16 @@ def make_zero_shot_split(train_modifiers, val_triplets, lexicon: dict = LEXICON,
         train_concepts.update(parse_concepts(m, lexicon, pos_set))
     val_concepts = set()
     for t in val_triplets:
-        val_concepts.update(parse_concepts(_modifier_of(t), lexicon, pos_set))
+        val_concepts.update(parse_concepts(t["modifier"], lexicon, pos_set))
     zero_shot = val_concepts - train_concepts
     if not zero_shot:
         warnings.warn("zero-shot split is empty: validation adds no new concepts")
         return set(), []
     kept = [
         t for t in val_triplets
-        if parse_concepts(_modifier_of(t), lexicon, pos_set) & zero_shot
+        if parse_concepts(t["modifier"], lexicon, pos_set) & zero_shot
     ]
     return zero_shot, kept
-
-
-def _modifier_of(t):
-    if isinstance(t, Triplet):
-        return t.modifier
-    if isinstance(t, dict):
-        return t["modifier"]
-    return t
 
 
 # ---------------------------------------------------------------------------

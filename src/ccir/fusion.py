@@ -1,11 +1,12 @@
 """Progressive fusion of reference tokens with the modifier.
 
-The modifier is decomposed into K step indicators (attended summaries of
-its word features).  A single transformer block is re-instantiated per
-step: four generator heads map the indicator to the scale/shift pairs of
-the block's two normalization sites, while the block's attention and
-feed-forward weights stay shared across steps.  Iterating the block K
-times from the raw reference tokens yields the fused query feature.
+The modifier is decomposed into K step indicators: K queries FC_i(q)
+attend over its word features in one pass.  One transformer block is
+instantiated K times: four generator heads map all K indicators at once
+to the scale/shift pairs of the block's two normalization sites, while
+the block's attention and feed-forward weights are the same at every
+step.  Applying the block K times from the raw reference tokens, step i
+reading instance i, yields the fused query feature.
 
 The graph builders work on a whole batch, with tokens as (n, L, d);
 ``adaptive_norm`` and ``batch_classification_loss`` are float64 numpy
@@ -33,6 +34,7 @@ from .layers import (
 from .tensor import Tensor
 
 PREFIX = "fusion"
+BLOCK = PREFIX + "/block"
 COSINE_EPS = 1e-12
 
 
@@ -41,11 +43,7 @@ COSINE_EPS = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def block_prefix(prefix: str, step: int, shared: bool) -> str:
-    return f"{prefix}/block" if shared else f"{prefix}/block{step}"
-
-
-def init_fusion(rng, params: dict, d: int, k_steps: int, share_block: bool = True) -> None:
+def init_fusion(rng, params: dict, d: int, k_steps: int) -> None:
     for i in range(k_steps):
         init_linear(rng, params, f"{PREFIX}/seq/fc{i}", d, d)
     init_mha(rng, params, f"{PREFIX}/seq/attn", d)
@@ -56,15 +54,12 @@ def init_fusion(rng, params: dict, d: int, k_steps: int, share_block: bool = Tru
     # and the first step would erase the reference tokens
     for head in ("sg1", "sg2"):
         params[f"{PREFIX}/gen/{head}/b"] = Tensor(np.ones(d, dtype=np.float32))
-    n_blocks = 1 if share_block else k_steps
-    for b in range(n_blocks):
-        bp = block_prefix(PREFIX, b, share_block)
-        init_linear(rng, params, bp + "/qkv", d, 3 * d)
-        init_linear(rng, params, bp + "/attn_o", d, d)
-        init_ffn(rng, params, bp + "/ffn", d, 2 * d)
-        # learned-affine site norms, used only by the plain-LN variant
-        init_layer_norm(rng, params, bp + "/ln1", d)
-        init_layer_norm(rng, params, bp + "/ln2", d)
+    init_linear(rng, params, BLOCK + "/qkv", d, 3 * d)
+    init_linear(rng, params, BLOCK + "/attn_o", d, d)
+    init_ffn(rng, params, BLOCK + "/ffn", d, 2 * d)
+    # learned-affine site norms, used only by the plain-LN variant
+    init_layer_norm(rng, params, BLOCK + "/ln1", d)
+    init_layer_norm(rng, params, BLOCK + "/ln2", d)
 
 
 # ---------------------------------------------------------------------------
@@ -76,54 +71,53 @@ def fusion_sequence_batch_node(p, q, words, key_mask, k_steps: int, n_heads: int
     """K indicators per example: attended word summaries driven by FC_i(q).
 
     q: n x d; words: (n, T, d) padded word features with their (n, 1, T)
-    additive key mask, so each example's query attends over its own words.
-    Returns a list of K nodes, each n x d.
+    additive key mask, so each example's queries attend over its own words.
+    The K queries are stacked as (n, K, d) and attend in one pass, so each
+    word is projected to a key and a value once.  Returns (n, K, d).
     """
     n, d = q.shape
-    indicators = []
-    for i in range(k_steps):
-        fq = ag.reshape(linear(p, f"{PREFIX}/seq/fc{i}", q), (n, 1, d))
-        s_i = mha(p, f"{PREFIX}/seq/attn", fq, words, words, n_heads, key_mask)
-        indicators.append(ag.reshape(s_i, (n, d)))
-    return indicators
+    queries = ag.concat(
+        [ag.reshape(linear(p, f"{PREFIX}/seq/fc{i}", q), (n, 1, d)) for i in range(k_steps)],
+        axis=1,
+    )
+    return mha(p, f"{PREFIX}/seq/attn", queries, words, words, n_heads, key_mask)
 
 
-def instantiate_block_batch_node(p, s_i):
-    """Four affine heads map indicators (n x d) to per-example (mu, sigma)."""
+def instantiate_block_batch_node(p, s):
+    """Four affine heads map indicators (n, K, d) to per-example, per-step
+    (mu, sigma), each (n, K, d)."""
     return {
-        "mu1": linear(p, f"{PREFIX}/gen/mu1", s_i),
-        "sg1": linear(p, f"{PREFIX}/gen/sg1", s_i),
-        "mu2": linear(p, f"{PREFIX}/gen/mu2", s_i),
-        "sg2": linear(p, f"{PREFIX}/gen/sg2", s_i),
+        "mu1": linear(p, f"{PREFIX}/gen/mu1", s),
+        "sg1": linear(p, f"{PREFIX}/gen/sg1", s),
+        "mu2": linear(p, f"{PREFIX}/gen/mu2", s),
+        "sg2": linear(p, f"{PREFIX}/gen/sg2", s),
     }
 
 
-def fusion_step_batch_node(p, f_prev, inst, n_heads: int, step: int,
-                           share_block: bool = True, plain_ln: bool = False):
-    """One instantiated block application over each example's reference tokens.
+def fusion_step_batch_node(p, f_prev, inst, n_heads: int, step: int, plain_ln: bool = False):
+    """Application ``step`` of the block over each example's reference tokens.
 
-    f_prev: (n, L, d); inst: generator outputs, each n x d, broadcast over
-    an example's tokens as (n, 1, d) (ignored when plain_ln selects the
-    learned layer-norm affine instead).  Attention stays within each
-    example.  Returns (n, L, d).
+    f_prev: (n, L, d); inst: generator outputs, each (n, K, d), of which
+    row ``step`` is read as (n, 1, d) and broadcast over an example's
+    tokens (ignored when plain_ln selects the learned layer-norm affine
+    instead).  Attention stays within each example.  Returns (n, L, d).
     """
-    bp = block_prefix(PREFIX, step, share_block)
-    n, _, d = f_prev.shape
+    d = f_prev.shape[-1]
 
     def site_norm(x, which: str):
         if plain_ln:
-            return layer_norm(p, f"{bp}/ln{which}", x)
-        mu = ag.reshape(inst["mu" + which], (n, 1, d))
-        sg = ag.reshape(inst["sg" + which], (n, 1, d))
+            return layer_norm(p, f"{BLOCK}/ln{which}", x)
+        mu = inst["mu" + which][:, step : step + 1]
+        sg = inst["sg" + which][:, step : step + 1]
         return adaptive_norm_node(x, mu, sg)
 
     f1 = site_norm(f_prev, "1")
-    qkv = linear(p, bp + "/qkv", f1)
+    qkv = linear(p, BLOCK + "/qkv", f1)
     q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    att = linear(p, bp + "/attn_o", attention_core(q, k, v, n_heads))
+    att = linear(p, BLOCK + "/attn_o", attention_core(q, k, v, n_heads))
     f2 = att + f1
     f3 = site_norm(f2, "2")
-    return ffn(p, bp + "/ffn", f3) + f3
+    return ffn(p, BLOCK + "/ffn", f3) + f3
 
 
 def l2_normalize_rows_node(x):

@@ -34,6 +34,7 @@ from .fusion import (
     batch_classification_loss_node,
     fusion_sequence_batch_node,
     fusion_step_batch_node,
+    init_fusion,
     instantiate_block_batch_node,
     l2_normalize_rows_node,
     total_loss_node,
@@ -59,9 +60,7 @@ def init_model_params(seed: int, cfg: TrainConfig, n_patches: int, patch_px: int
                 f"concept rows {concept_rows.shape} != ({n_concepts}, {cfg.d})"
             )
         params["concepts/table"] = concept_rows
-    from .fusion import init_fusion
-
-    init_fusion(rng, params, cfg.d, cfg.k_steps, cfg.share_block_weights)
+    init_fusion(rng, params, cfg.d, cfg.k_steps)
     init_linear(rng, params, "nofusion", 2 * cfg.d, cfg.d)
     return ParameterSet(params)
 
@@ -90,12 +89,10 @@ def _query_feature(p, ref_tokens, q, words, key_mask, cfg: TrainConfig):
         _, ref_pooled = attention_pool_batch_node(p, ref_tokens)
         return None, linear(p, "nofusion", ag.concat([ref_pooled, q], axis=1))
     indicators = fusion_sequence_batch_node(p, q, words, key_mask, cfg.k_steps, cfg.n_heads)
+    inst = instantiate_block_batch_node(p, indicators)
     f = ref_tokens
-    for step, s_i in enumerate(indicators):
-        inst = instantiate_block_batch_node(p, s_i)
-        f = fusion_step_batch_node(
-            p, f, inst, cfg.n_heads, step, cfg.share_block_weights, cfg.plain_layer_norm,
-        )
+    for step in range(cfg.k_steps):
+        f = fusion_step_batch_node(p, f, inst, cfg.n_heads, step, cfg.plain_layer_norm)
     _, pooled = attention_pool_batch_node(p, f)
     return f, pooled
 

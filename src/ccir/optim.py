@@ -52,10 +52,6 @@ class OptimizerState:
     def initial(cls, params: ParameterSet) -> "OptimizerState":
         return cls(m=params.zeros_like(), v=params.zeros_like(), step=0)
 
-    def subset(self, predicate) -> "OptimizerState":
-        t = {path: n for path, n in self.t.items() if predicate(path)}
-        return OptimizerState(self.m.subset(predicate), self.v.subset(predicate), self.step, t)
-
 
 def adamw_step(
     params: ParameterSet,

@@ -64,15 +64,6 @@ class Tensor:
     def zeros(cls, shape: Iterable[int]) -> "Tensor":
         return cls(np.zeros(tuple(shape), dtype=np.float32))
 
-    @classmethod
-    def zeros_like(cls, other: "Tensor") -> "Tensor":
-        return cls.zeros(other.shape)
-
-    def allclose(self, other: "Tensor", rtol=1e-5, atol=1e-7) -> bool:
-        return self.shape == other.shape and np.allclose(
-            self._data, other._data, rtol=rtol, atol=atol
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tensor)

@@ -209,14 +209,14 @@ def _prepare_examples(records, text_index, concept_vocab, pos_classes):
     return ids_list, np.stack(labels) if labels else None
 
 
-def _encode_token_cache(params, dataset: Dataset, cfg: TrainConfig) -> dict:
-    ids = sorted(dataset.patches)
-    cache = {}
-    for start in range(0, len(ids), EVAL_CHUNK):
-        chunk = ids[start : start + EVAL_CHUNK]
+def _encode_images(params, dataset: Dataset, image_ids, cfg: TrainConfig) -> np.ndarray:
+    """(N, L, d) tokens of the listed images, encoded EVAL_CHUNK at a time."""
+    tokens = np.empty((len(image_ids), dataset.n_patches, cfg.d), dtype=np.float32)
+    for start in range(0, len(image_ids), EVAL_CHUNK):
+        chunk = image_ids[start : start + EVAL_CHUNK]
         stack = np.stack([dataset.patches[i] for i in chunk])
-        cache.update(zip(chunk, encode_images_array(params, stack, len(chunk), cfg)))
-    return cache
+        tokens[start : start + len(chunk)] = encode_images_array(params, stack, len(chunk), cfg)
+    return tokens
 
 
 def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
@@ -264,7 +264,8 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
             # a frozen epoch trains everything except the image encoder
             keep = (lambda path: not path.startswith("image/")) if frozen else (lambda path: True)
             if frozen and token_cache is None:
-                token_cache = _encode_token_cache(params, dataset, cfg)
+                ids = sorted(dataset.patches)
+                token_cache = dict(zip(ids, _encode_images(params, dataset, ids, cfg)))
             if not frozen:
                 token_cache = None
 
@@ -365,14 +366,7 @@ def frozen_encoder_features(dataset: Dataset, cfg: TrainConfig, gallery_ids) -> 
     base = init_model_params(
         cfg.seed, cfg, dataset.n_patches, dataset.cell_px, dataset.channels, 1, 1
     )
-    feats = np.empty((len(gallery_ids), cfg.d), dtype=np.float32)
-    for start in range(0, len(gallery_ids), EVAL_CHUNK):
-        chunk = gallery_ids[start : start + EVAL_CHUNK]
-        stack = np.stack([dataset.patches[i] for i in chunk])
-        feats[start : start + len(chunk)] = encode_images_array(
-            base, stack, len(chunk), cfg
-        ).mean(axis=1)
-    return feats
+    return _encode_images(base, dataset, gallery_ids, cfg).mean(axis=1)
 
 
 def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
@@ -388,17 +382,10 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
             raise DataError(f"gallery is missing ground-truth target {rec['tgt_image']!r}")
 
     # target-side features
-    v = np.empty((len(gallery_ids), cfg.d), dtype=np.float32)
-    tgt_mean = np.empty((len(gallery_ids), cfg.d), dtype=np.float32) if cfg.context_score_on else None
-    for start in range(0, len(gallery_ids), EVAL_CHUNK):
-        chunk = gallery_ids[start : start + EVAL_CHUNK]
-        stack = np.stack([dataset.patches[g] for g in chunk])
-        toks = encode_images_array(ckpt.params, stack, len(chunk), cfg)
-        v[start : start + len(chunk)] = embed_targets(
-            ckpt.params, toks, len(chunk), L, cfg
-        )
-        if tgt_mean is not None:
-            tgt_mean[start : start + len(chunk)] = toks.mean(axis=1)
+    tgt_toks = _encode_images(ckpt.params, dataset, gallery_ids, cfg)
+    v = embed_targets(ckpt.params, tgt_toks, len(gallery_ids), L, cfg)
+    tgt_mean = tgt_toks.mean(axis=1) if cfg.context_score_on else None
+    del tgt_toks  # evaluate's memory peaks in scoring, after this point
 
     # query-side features
     text_index = {w: i for i, w in enumerate(ckpt.text_vocab)}
@@ -406,8 +393,7 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     ctx_u = np.empty_like(u) if cfg.context_score_on else None
     for start in range(0, len(query_records), EVAL_CHUNK):
         chunk = query_records[start : start + EVAL_CHUNK]
-        stack = np.stack([dataset.patches[r["ref_image"]] for r in chunk])
-        toks = encode_images_array(ckpt.params, stack, len(chunk), cfg)
+        toks = _encode_images(ckpt.params, dataset, [r["ref_image"] for r in chunk], cfg)
         ids_batch = [words_to_ids(tokenize(r["modifier"]), text_index) for r in chunk]
         uu, cc = embed_queries(ckpt.params, toks, ids_batch, len(chunk), L, cfg)
         u[start : start + len(chunk)] = uu

@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer wraps must keep existing.
+"""What the benchmark's tracer relies on must keep holding.
 
 ``perfbench/tracer.py`` wraps program functions by module and attribute
-name, and reads ``attention_core``'s head count from its 4th positional
-argument.  Its own tests sit outside this suite, so a rename here would
-otherwise surface only when the benchmark runs.
+name, reads ``attention_core``'s head count from its 4th positional
+argument, and tells a frozen training step from an unfrozen one by the
+input keys ``forward_backward`` gets as its 2nd.  Its own tests sit
+outside this suite, so a change here would otherwise surface only when
+the benchmark runs.
 """
 
 import ast
@@ -11,6 +13,9 @@ import importlib
 import inspect
 from pathlib import Path
 
+import ccir.train
+from ccir.config import TrainConfig
+from ccir.data import DataConfig, generate_dataset
 from ccir.layers import attention_core
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -51,3 +56,22 @@ def test_every_tracer_target_resolves():
 def test_attention_core_takes_heads_fourth():
     params = list(inspect.signature(attention_core).parameters)
     assert params[3] == "n_heads"
+
+
+def test_frozen_steps_pass_token_cache_inputs(tmp_path, monkeypatch):
+    """Frozen epochs feed cached tokens, unfrozen epochs raw patches."""
+    generate_dataset(tmp_path, 16, 4, DataConfig(), seed=5)
+    seen = []
+    real = ccir.train.forward_backward
+
+    def spy(*args, **kwargs):
+        seen.append(sorted(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ccir.train, "forward_backward", spy)
+    cfg = TrainConfig(d=16, k_steps=2, batch_size=8, epochs=2, freeze_epochs=1)
+    ccir.train.train(cfg, tmp_path)
+    per_epoch = len(seen) // 2
+    assert per_epoch and len(seen) == 2 * per_epoch
+    assert seen[:per_epoch] == [["ref_tokens", "tgt_tokens"]] * per_epoch
+    assert seen[per_epoch:] == [["patches"]] * per_epoch

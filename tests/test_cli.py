@@ -36,7 +36,7 @@ def test_coerce_types():
     assert _coerce("epochs", "12") == 12
     assert _coerce("lr", "5e-4") == pytest.approx(5e-4)
     assert _coerce("remove_fusion", "true") is True
-    assert _coerce("share_block_weights", "No") is False
+    assert _coerce("plain_layer_norm", "No") is False
     assert _coerce("recall_ks", "1,5,10") == (1, 5, 10)
     assert _coerce("pos_classes", "noun,adj") == frozenset({"noun", "adj"})
     assert _coerce("word_vector_file", "none") is None

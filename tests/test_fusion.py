@@ -10,7 +10,6 @@ from ccir.fusion import (
     adaptive_norm_node,
     batch_classification_loss,
     batch_classification_loss_node,
-    block_prefix,
     fusion_sequence_batch_node,
     fusion_step_batch_node,
     init_fusion,
@@ -18,13 +17,14 @@ from ccir.fusion import (
     l2_normalize_rows_node,
     total_loss_node,
 )
+from ccir.layers import linear, mha
 from ccir.tensor import ParameterSet, Tensor
 
 
-def make_params(seed=0, d=8, k=3, share=True):
+def make_params(seed=0, d=8, k=3):
     rng = np.random.default_rng(seed)
     params = {}
-    init_fusion(rng, params, d, k, share_block=share)
+    init_fusion(rng, params, d, k)
     return ParameterSet(params)
 
 
@@ -36,7 +36,8 @@ def indicators(q, t, params, k_steps):
     """K x d step indicators of one example: query q (d,), words t (L_w x d)."""
     out = fusion_sequence_batch_node(nodes(params), ag.leaf(q[None]), ag.leaf(t[None]),
                                      np.zeros((1, 1, len(t)), np.float32), k_steps, 2)
-    return np.stack([nd.value[0] for nd in out])
+    assert out.shape == (1, k_steps, len(q))
+    return out.value[0]
 
 
 def instantiate(s, params):
@@ -45,11 +46,12 @@ def instantiate(s, params):
     return {k: v.value[0] for k, v in out.items()}
 
 
-def apply_step(tokens, inst, params, step=0, share_block=True):
-    """One block application to one example's L x d tokens."""
+def apply_step(tokens, inst, params, step=0):
+    """Block application ``step`` to one example's L x d tokens, given its
+    (K, d) instance heads."""
     out = fusion_step_batch_node(
         nodes(params), ag.leaf(tokens[None]), {k: ag.leaf(v[None]) for k, v in inst.items()},
-        2, step, share_block,
+        2, step,
     )
     assert out.shape == (1,) + tokens.shape
     return out.value[0]
@@ -103,10 +105,50 @@ def test_sequence_ignores_padded_words():
 
     def run(w):
         out = fusion_sequence_batch_node(nodes(params), ag.leaf(q), ag.leaf(w), key_mask, 3, 2)
-        return np.stack([nd.value for nd in out])
+        return out.value
 
     overwritten = np.where(live[..., None], words, 1e3 * rng.normal(size=words.shape))
     assert np.array_equal(run(words), run(overwritten.astype(np.float32)))
+
+
+def ragged_words(seed):
+    """Queries, words and key mask of three examples with 5, 2 and 3 words."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(3, 8)).astype(np.float32)
+    words = rng.normal(size=(3, 5, 8)).astype(np.float32)
+    live = np.arange(5) < np.array([5, 2, 3])[:, None]
+    return q, words, np.where(live, 0.0, -1e9).astype(np.float32)[:, None, :]
+
+
+def test_one_pass_indicators_match_per_step_attention():
+    """Attending with the K stacked queries at once gives what K separate
+    single-query attentions over the same words give."""
+    p = nodes(make_params())
+    q, words, key_mask = ragged_words(16)
+    out = fusion_sequence_batch_node(p, ag.leaf(q), ag.leaf(words), key_mask, 3, 2).value
+    assert out.shape == (3, 3, 8)
+    for i in range(3):
+        fq = ag.reshape(linear(p, f"fusion/seq/fc{i}", ag.leaf(q)), (3, 1, 8))
+        want = mha(p, "fusion/seq/attn", fq, ag.leaf(words), ag.leaf(words), 2, key_mask)
+        assert np.allclose(out[:, i], want.value[:, 0], atol=1e-6)
+
+
+def test_words_are_projected_once():
+    """The key and value weights each feed one matmul in the sequence
+    graph, however many steps read the words."""
+    p = nodes(make_params())
+    q, words, key_mask = ragged_words(17)
+    out = fusion_sequence_batch_node(p, ag.leaf(q), ag.leaf(words), key_mask, 3, 2)
+    graph, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in graph:
+            graph[id(node)] = node
+            stack.extend(node.parents)
+    for name in ("k", "v"):
+        w = p[f"fusion/seq/attn/{name}/w"]
+        users = [nd for nd in graph.values() if nd.op == "matmul" and w in nd.parents]
+        assert len(users) == 1, name
 
 
 # -- block instantiation ----------------------------------------------------
@@ -210,21 +252,29 @@ def test_adaptive_norm_node_matches_numpy():
 # -- fusion step ------------------------------------------------------------
 
 
-def rand_instance(rng, d=8):
-    return {k: rng.normal(size=d).astype(np.float32) for k in ("mu1", "sg1", "mu2", "sg2")}
+def rand_instance(rng, d=8, k=1):
+    """(k, d) heads from k independent draws of each head's row."""
+    return {
+        name: np.stack([rng.normal(size=d).astype(np.float32) for _ in range(k)])
+        for name in ("mu1", "sg1", "mu2", "sg2")
+    }
 
 
 def test_fusion_step_preserves_shape_and_counts_steps():
-    """A step maps L x d tokens to L x d; with unshared blocks the step
-    index picks that step's own block."""
-    params = make_params(share=False)
+    """A step maps L x d tokens to L x d, and step i reads row i of the
+    instance: editing row 1 leaves step 0 bit-identical."""
+    params = make_params()
     rng = np.random.default_rng(9)
     f = rng.normal(size=(4, 8)).astype(np.float32)
-    inst = rand_instance(rng)
-    first = apply_step(f, inst, params, step=0, share_block=False)
-    second = apply_step(f, inst, params, step=1, share_block=False)
+    inst = rand_instance(rng, k=2)
+    first = apply_step(f, inst, params, step=0)
+    second = apply_step(f, inst, params, step=1)
     assert first.shape == (4, 8)
     assert not np.allclose(first, second, atol=1e-4)
+    assert np.array_equal(second, apply_step(f, {k: v[1:] for k, v in inst.items()}, params))
+    edited = {k: np.stack([v[0], v[1] + 1.0]) for k, v in inst.items()}
+    assert np.array_equal(apply_step(f, edited, params, step=0), first)
+    assert not np.allclose(apply_step(f, edited, params, step=1), second, atol=1e-4)
 
 
 def test_zero_instantiation_erases_input_content():
@@ -232,30 +282,25 @@ def test_zero_instantiation_erases_input_content():
     cannot depend on what the tokens contained."""
     params = make_params()
     rng = np.random.default_rng(10)
-    zero = {k: np.zeros(8, np.float32) for k in ("mu1", "sg1", "mu2", "sg2")}
+    zero = {k: np.zeros((1, 8), np.float32) for k in ("mu1", "sg1", "mu2", "sg2")}
     a = apply_step(rng.normal(size=(4, 8)).astype(np.float32), zero, params)
     b = apply_step(rng.normal(size=(4, 8)).astype(np.float32), zero, params)
     assert np.allclose(a, b, atol=1e-6)
 
 
 def test_meta_sharing_single_block_parameter_set():
-    shared = make_params(share=True, k=3)
-    unshared = make_params(share=False, k=3)
-    shared_blocks = {p.split("/")[1] for p in shared.paths() if p.startswith("fusion/block")}
-    unshared_blocks = {p.split("/")[1] for p in unshared.paths() if p.startswith("fusion/block")}
-    assert shared_blocks == {"block"}
-    assert unshared_blocks == {"block0", "block1", "block2"}
-    assert block_prefix("fusion", 2, shared=True) == "fusion/block"
-    assert block_prefix("fusion", 2, shared=False) == "fusion/block2"
-    # generator heads stay per-run regardless of sharing
-    assert any(p.startswith("fusion/gen/") for p in shared.paths())
+    params = make_params(k=3)
+    blocks = {p.split("/")[1] for p in params.paths() if p.startswith("fusion/block")}
+    assert blocks == {"block"}
+    assert any(p.startswith("fusion/gen/") for p in params.paths())
 
 
 def test_shared_steps_use_identical_weights():
-    """Two consecutive steps with the same instance are the same function."""
-    params = make_params(share=True)
+    """Two consecutive steps whose instance rows are equal are the same
+    function."""
+    params = make_params()
     rng = np.random.default_rng(11)
-    inst = rand_instance(rng)
+    inst = {k: np.tile(v, (2, 1)) for k, v in rand_instance(rng).items()}
     f0 = rng.normal(size=(3, 8)).astype(np.float32)
     f1 = apply_step(f0, inst, params, step=0)
     f2 = apply_step(f1, inst, params, step=1)

@@ -134,13 +134,6 @@ def test_context_score_shifts_score_matrix():
     assert np.abs(ctx["scores"].data).max() <= 2.0 + 1e-5
 
 
-def test_unshared_blocks_have_per_step_parameters():
-    cfg = small_cfg(share_block_weights=False)
-    params = init_model_params(0, cfg, 4, 4, 3, 10, 6)
-    blocks = {p.split("/")[1] for p in params.paths() if p.startswith("fusion/block")}
-    assert blocks == {"block0", "block1"}
-
-
 def test_image_init_is_stable_across_vocab_sizes():
     """Resizing text/concept tables must not disturb the image encoder;
     candidate-subset construction depends on this."""
