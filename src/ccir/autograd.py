@@ -7,13 +7,17 @@ call; nodes are never mutated after creation.
 
 Primitive set: matmul, elementwise add/sub/mul/div (trailing-dim
 broadcasting), sigmoid, tanh, exp, log, sqrt, softplus, constant powers,
-softmax along an axis, sum/mean/variance along an axis, concatenation,
-basic slicing, row gather (embedding lookup), transpose of two axes;
-matmul also takes (n, L, d) and (n, H, L, d) stacks.  Reductions
-accumulate in float64 regardless of storage dtype.  A backward function
-is given its node's gradient and holds the parents and arrays it needs,
-never the node, so a graph holds no reference cycle and dies with its
-outputs.
+softmax along an axis, sum/mean along an axis, concatenation, basic
+slicing, row gather (embedding lookup), transpose of two axes; matmul
+also takes (n, L, d) and (n, H, L, d) stacks.  The layers of the model
+are fused into one node each with a hand-written backward: ``linear``
+(x @ w + b), ``silu``, ``adaptive_norm`` (standardization over the last
+axis with a supplied scale and shift), ``attention`` (scaled dot-product
+attention over head stacks) and ``gru_cell`` (one masked GRU update).
+Reductions accumulate in float64 regardless of storage dtype.  A
+backward function is given its node's gradient and holds the parents and
+arrays it needs, never the node, so a graph holds no reference cycle and
+dies with its outputs.
 
 Non-differentiable selections (argmax and friends) are deliberately
 absent: programs that need a hard selection cannot be expressed, which is
@@ -281,20 +285,40 @@ def transpose(a: Node, axis1: int = -2, axis2: int = -1) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x|."""
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as 0.5 * (1 + tanh(x / 2)): one transcendental
+    pass that cannot overflow and gives exactly 0.5 at 0.  Its absolute
+    error is at storage precision, but far tails round to 0 or 1, so a
+    log of it goes through ``softplus`` instead."""
+    s = np.tanh(x * 0.5)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(a: Node) -> Node:
-    x = a.value
-    val = _stable_sigmoid(x).astype(x.dtype, copy=False)
+    val = _sigmoid(a.value)
 
     def backward(g):
         _accum(a, g * val * (1.0 - val))
 
     return _finish(Node(val, "sigmoid", (a,)), backward)
+
+
+def silu(a: Node) -> Node:
+    """x * sigmoid(x)."""
+    x = a.value
+    s = _sigmoid(x)
+
+    def backward(g):
+        ds = 1.0 - s  # d silu / dx = s * (1 + x * (1 - s))
+        ds *= x
+        ds += 1.0
+        ds *= s
+        ds *= g
+        _accum(a, ds)
+
+    return _finish(Node(x * s, "silu", (a,)), backward)
 
 
 def tanh(a: Node) -> Node:
@@ -340,7 +364,7 @@ def softplus(a: Node) -> Node:
     out = Node(np.logaddexp(0.0, a.value).astype(a.value.dtype, copy=False), "softplus", (a,))
 
     def backward(g):
-        _accum(a, g * _stable_sigmoid(a.value))
+        _accum(a, g * _sigmoid(a.value))
 
     return _finish(out, backward)
 
@@ -409,26 +433,6 @@ def mean(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
     return _finish(out, backward)
 
 
-def variance(a: Node, axis: int | None = None, keepdims: bool = False) -> Node:
-    """Population variance (ddof=0) along ``axis``, float64 accumulation."""
-    x64 = a.value.astype(np.float64)
-    m = x64.mean(axis=axis, keepdims=True)
-    val = ((x64 - m) ** 2).mean(axis=axis, keepdims=keepdims)
-    with np.errstate(over="ignore"):  # inf cast surfaces as NonFiniteError later
-        val32 = np.asarray(val).astype(a.value.dtype)
-    out = Node(val32, "variance", (a,))
-    n = a.value.size if axis is None else a.shape[axis]
-
-    def backward(g):
-        g = _restore_axes(g, axis, keepdims)
-        centered = a.value - a.value.mean(axis=axis, keepdims=True, dtype=np.float64).astype(
-            a.value.dtype
-        )
-        _accum(a, (2.0 / n) * centered * g)
-
-    return _finish(out, backward)
-
-
 # ---------------------------------------------------------------------------
 # structure: concat, slicing, gather
 # ---------------------------------------------------------------------------
@@ -488,6 +492,134 @@ def gather_rows(table: Node, ids) -> Node:
         buf = np.zeros_like(table.value)
         np.add.at(buf, ids, g)
         _accum(table, buf)
+
+    return _finish(out, backward)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one node each, with an analytic backward
+# ---------------------------------------------------------------------------
+
+
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """x @ w + b for a (fan_in, fan_out) weight and a (fan_out,) bias; x
+    has any leading axes, and all its rows go through one GEMM."""
+    xv, wv, bv = x.value, w.value, b.value
+    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeError(f"linear: x {xv.shape}, w {wv.shape}, b {bv.shape} do not fit")
+    rows = xv.reshape(-1, xv.shape[-1])
+    y = (rows @ wv).astype(np.result_type(xv, wv, bv), copy=False)
+    y += bv
+    out = Node(y.reshape(xv.shape[:-1] + bv.shape), "linear", (x, w, b))
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        _accum(x, (g @ wv.T).reshape(xv.shape))
+        _accum(w, rows.T @ g)
+        # a GEMV with ones sums the rows several times faster than sum(axis=0)
+        _accum(b, np.ones(len(g), g.dtype) @ g)
+
+    return _finish(out, backward)
+
+
+def adaptive_norm(x: Node, mu: Node, sigma: Node, eps: float) -> Node:
+    """sigma * (x - mean) / sqrt(var + eps) + mu, the mean and population
+    variance taken over the last axis of x and accumulated in float64;
+    mu and sigma broadcast against x."""
+    _check_broadcast("adaptive_norm", x, mu)
+    _check_broadcast("adaptive_norm", x, sigma)
+    xv = x.value
+    x64 = xv.astype(np.float64)
+    m64 = x64.mean(axis=-1, keepdims=True)
+    x64 -= m64
+    var = np.square(x64, out=x64).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an inf cast surfaces as NonFiniteError
+        sd = np.sqrt(var.astype(xv.dtype) + eps)
+    xhat = xv - m64.astype(xv.dtype)
+    xhat /= sd
+    sv = sigma.value
+    out = Node(sv * xhat + mu.value, "adaptive_norm", (x, mu, sigma))
+
+    def backward(g):
+        _accum(mu, _unbroadcast(g, mu.shape))
+        _accum(sigma, _unbroadcast(g * xhat, sigma.shape))
+        gx = g * sv
+        gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * gx_xhat
+        gx /= sd
+        _accum(x, gx)
+
+    return _finish(out, backward)
+
+
+def attention(q: Node, k: Node, v: Node, scale: float, mask=None) -> Node:
+    """softmax(q @ k^T * scale + mask) @ v over stacks of (L, dh) matrices
+    with equal leading axes, e.g. (n, H, L, dh) heads.  ``mask`` is a
+    constant array broadcastable to the (..., Lq, Lk) logits, added to
+    them in their dtype (0 for a live key, -1e9 for a padded one)."""
+    qv, kv, vv = q.value, k.value, v.value
+    if (qv.ndim < 2 or kv.shape[:-1] != vv.shape[:-1]
+            or qv.shape[:-2] + qv.shape[-1:] != kv.shape[:-2] + kv.shape[-1:]):
+        raise ShapeError(f"attention: q {qv.shape}, k {kv.shape}, v {vv.shape} do not fit")
+    p = qv @ np.swapaxes(kv, -1, -2)
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Node(p @ vv, "attention", (q, k, v))
+
+    def backward(g):
+        _accum(v, np.swapaxes(p, -1, -2) @ g)
+        gs = g @ np.swapaxes(vv, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        _accum(q, gs @ kv)
+        _accum(k, np.swapaxes(gs, -1, -2) @ qv)
+
+    return _finish(out, backward)
+
+
+def gru_cell(x: Node, h: Node, w: tuple, u: tuple, b: tuple, live) -> Node:
+    """One gated recurrent update of the state h (N, H) from the input
+    x (N, in).  ``w``, ``u`` and ``b`` each hold the reset, update and
+    candidate gates' weights, in that order: (in, H), (H, H) and (H,).
+    Rows where the constant ``live`` (N,) is false keep h as it is.  The
+    result takes the dtype numpy promotes the operands to, so a float32
+    initial state does not truncate a float64 graph."""
+    xv, hv = x.value, h.value
+    hid = hv.shape[-1]
+    wv = np.concatenate([t.value for t in w], axis=1)
+    uv = np.concatenate([t.value for t in u], axis=1)
+    bv = np.concatenate([t.value for t in b])
+    if xv.ndim != 2 or wv.shape != (xv.shape[1], 3 * hid) or uv.shape != (hid, 3 * hid):
+        raise ShapeError(f"gru_cell: x {xv.shape}, h {hv.shape}, w {wv.shape}, u {uv.shape}")
+    ax, ah = xv @ wv, hv @ uv
+    rz = _sigmoid(ax[:, : 2 * hid] + ah[:, : 2 * hid] + bv[: 2 * hid])
+    r, z = rz[:, :hid], rz[:, hid:]
+    hn = ah[:, 2 * hid :]
+    n = np.tanh(ax[:, 2 * hid :] + r * hn + bv[2 * hid :])
+    keep = np.asarray(live, dtype=bool)[:, None]
+    out = Node(np.where(keep, (1.0 - z) * n + z * hv, hv), "gru_cell", (x, h) + w + u + b)
+
+    def backward(g):
+        gn = np.where(keep, g, 0.0)
+        da_n = gn * (1.0 - z) * (1.0 - n * n)
+        da_r = da_n * hn * r * (1.0 - r)
+        da_z = gn * (hv - n) * z * (1.0 - z)
+        da = np.concatenate([da_r, da_z, da_n], axis=1)
+        dah = np.concatenate([da_r, da_z, da_n * r], axis=1)
+        _accum(x, da @ wv.T)
+        _accum(h, np.where(keep, g * z, g) + dah @ uv.T)
+        gw, gu, gb = xv.T @ da, hv.T @ dah, da.sum(axis=0)
+        for i in range(3):
+            cols = slice(i * hid, (i + 1) * hid)
+            _accum(w[i], gw[:, cols])
+            _accum(u[i], gu[:, cols])
+            _accum(b[i], gb[cols])
 
     return _finish(out, backward)
 

@@ -139,10 +139,7 @@ def encode_text_batch_node(p, ids_batch: list, d: int):
         states = [None] * t_max
         h = zeros
         for t in order:
-            mask = live[:, t, None].astype(np.float32)
-            h = ag.leaf(mask) * gru_step(p, TEXT_PREFIX + "/" + direction, xs[t], h) + ag.leaf(
-                1.0 - mask
-            ) * h
+            h = gru_step(p, TEXT_PREFIX + "/" + direction, xs[t], h, live[:, t])
             states[t] = h
         return states, h
 

@@ -2,7 +2,9 @@
 
 Each layer comes as a pair: ``init_*`` writes freshly initialized Tensors
 into a plain dict keyed by parameter path, and the forward function builds
-graph nodes from a matching dict of leaf nodes.  Weights start at
+graph nodes from a matching dict of leaf nodes.  The forward functions are
+thin wrappers over the fused primitives of ``autograd`` (one node per
+linear map, norm, attention, SiLU and GRU step).  Weights start at
 uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) and biases at zero.
 """
 
@@ -30,7 +32,7 @@ def init_linear(rng, params: dict, prefix: str, fan_in: int, fan_out: int) -> No
 
 
 def linear(p, prefix: str, x):
-    return ag.matmul(x, p[prefix + "/w"]) + p[prefix + "/b"]
+    return ag.linear(x, p[prefix + "/w"], p[prefix + "/b"])
 
 
 # -- layer norm -------------------------------------------------------------
@@ -41,9 +43,7 @@ NORM_EPS = 1e-5
 def adaptive_norm_node(x, mu, sigma):
     """Per-token standardization over the last axis, then externally
     supplied scale and shift."""
-    m = ag.mean(x, axis=-1, keepdims=True)
-    v = ag.variance(x, axis=-1, keepdims=True)
-    return sigma * ((x - m) / ag.sqrt(v + NORM_EPS)) + mu
+    return ag.adaptive_norm(x, mu, sigma, NORM_EPS)
 
 
 def init_layer_norm(rng, params: dict, prefix: str, d: int) -> None:
@@ -64,7 +64,7 @@ def attention_core(q, k, v, n_heads: int, key_mask=None):
 
     q: (n, Lq, d), k and v: (n, Lk, d), already projected; 2-D operands
     are a single example.  The heads are split onto an axis of their own,
-    so one batched product forms all n * n_heads * Lq * Lk scores.
+    and one fused ``attention`` node attends over all n * n_heads stacks.
     ``key_mask`` (a constant array broadcastable to (n, Lq, Lk), 0 for a
     live key and -1e9 for a padded one) is added to the logits before the
     softmax.
@@ -77,10 +77,8 @@ def attention_core(q, k, v, n_heads: int, key_mask=None):
     def heads(x):  # (..., L, d) -> (..., n_heads, L, dh)
         return ag.transpose(ag.reshape(x, x.shape[:-1] + (n_heads, dh)), -3, -2)
 
-    scores = ag.matmul(heads(q), ag.transpose(heads(k))) * (1.0 / math.sqrt(dh))
-    if key_mask is not None:
-        scores = scores + np.expand_dims(key_mask, -3)
-    out = ag.matmul(ag.softmax(scores, axis=-1), heads(v))
+    mask = None if key_mask is None else np.expand_dims(key_mask, -3)
+    out = ag.attention(heads(q), heads(k), heads(v), 1.0 / math.sqrt(dh), mask)
     return ag.reshape(ag.transpose(out, -3, -2), q.shape)
 
 
@@ -120,17 +118,13 @@ def mha(p, prefix: str, q_in, k_in, v_in, n_heads: int, key_mask=None):
 # -- feed-forward -----------------------------------------------------------
 
 
-def silu(x):
-    return x * ag.sigmoid(x)
-
-
 def init_ffn(rng, params: dict, prefix: str, d: int, hidden: int) -> None:
     init_linear(rng, params, prefix + "/in", d, hidden)
     init_linear(rng, params, prefix + "/out", hidden, d)
 
 
 def ffn(p, prefix: str, x):
-    return linear(p, prefix + "/out", silu(linear(p, prefix + "/in", x)))
+    return linear(p, prefix + "/out", ag.silu(linear(p, prefix + "/in", x)))
 
 
 # -- pre-norm transformer layer ---------------------------------------------
@@ -161,19 +155,8 @@ def init_gru(rng, params: dict, prefix: str, in_dim: int, hidden: int) -> None:
         params[f"{prefix}/{gate}/b"] = Tensor.zeros((hidden,))
 
 
-def gru_step(p, prefix: str, x, h):
-    """One gated recurrent update; x: N x in_dim, h: N x hidden."""
-
-    def gate(name):
-        return ag.matmul(x, p[f"{prefix}/{name}/w"]) + ag.matmul(
-            h, p[f"{prefix}/{name}/u"]
-        ) + p[f"{prefix}/{name}/b"]
-
-    r = ag.sigmoid(gate("r"))
-    z = ag.sigmoid(gate("z"))
-    n = ag.tanh(
-        ag.matmul(x, p[prefix + "/n/w"])
-        + r * ag.matmul(h, p[prefix + "/n/u"])
-        + p[prefix + "/n/b"]
-    )
-    return (1.0 - z) * n + z * h
+def gru_step(p, prefix: str, x, h, live):
+    """One gated recurrent update; x: N x in_dim, h: N x hidden.  Rows
+    where ``live`` (N,) is false keep their state."""
+    w, u, b = (tuple(p[f"{prefix}/{gate}/{kind}"] for gate in ("r", "z", "n")) for kind in "wub")
+    return ag.gru_cell(x, h, w, u, b, live)

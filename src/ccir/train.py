@@ -264,7 +264,7 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
             # a frozen epoch trains everything except the image encoder
             keep = (lambda path: not path.startswith("image/")) if frozen else (lambda path: True)
             if frozen and token_cache is None:
-                ids = sorted(dataset.patches)
+                ids = sorted({r[key] for r in dataset.train for key in ("ref_image", "tgt_image")})
                 token_cache = dict(zip(ids, _encode_images(params, dataset, ids, cfg)))
             if not frozen:
                 token_cache = None

@@ -6,6 +6,7 @@ import pytest
 
 from ccir import ParameterSet, Tensor
 from ccir import autograd as ag
+from ccir.alignment import asymmetric_loss_node
 
 
 def test_linear_program_gradient():
@@ -29,6 +30,28 @@ def test_sigmoid_at_zero():
     outs, grads = ag.forward_backward(program, {}, ParameterSet({"x": Tensor([0.0])}))
     assert abs(float(outs["loss"].data.item()) - 0.5) < 1e-7
     assert abs(float(grads["x"].data[0]) - 0.25) < 1e-7
+
+
+def test_sigmoid_tails_stay_finite_and_accurate():
+    x = np.array([-30.0, -17.0, 0.0, 17.0, 30.0], np.float32)
+    y = ag.sigmoid(ag.leaf(x)).value
+    assert np.isfinite(y).all() and (y >= 0.0).all() and (y <= 1.0).all()
+    assert y[2] == 0.5
+    want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    assert np.abs(y - want).max() <= 1e-7
+
+    # the asymmetric loss reads log sigmoid through softplus, so saturated
+    # logits give a finite loss and finite gradients
+    labels = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], np.float32)
+
+    def program(inputs, params):
+        return {"loss": asymmetric_loss_node(params["s"], labels, 1.0, 4.0)}
+
+    logits = Tensor(np.array([[-30.0, 30.0, 30.0, -30.0], [30.0, -30.0, -30.0, 30.0]]))
+    outs, grads = ag.forward_backward(program, {}, ParameterSet({"s": logits}))
+    assert np.isfinite(outs["loss"].data).all()
+    assert float(outs["loss"].data) > 50.0
+    assert np.isfinite(grads["s"].data).all()
 
 
 def test_unreachable_param_gets_zero_grad():
@@ -222,7 +245,6 @@ def test_grad_check_every_primitive():
         "powc": lambda i, p: {"loss": ag.sum_(ag.powc(1.5 + ag.sigmoid(p["p0"]), 3.0))},
         "softmax": lambda i, p: {"loss": ag.sum_(ag.softmax(p["p0"], axis=1) * ag.leaf(rng_w))},
         "mean": lambda i, p: {"loss": ag.sum_(ag.mean(p["p0"], axis=1) * ag.leaf(rng_col))},
-        "variance": lambda i, p: {"loss": ag.sum_(ag.variance(p["p0"], axis=1) * ag.leaf(rng_col))},
         "concat": lambda i, p: {
             "loss": ag.sum_(ag.concat([p["p0"], p["p1"]], axis=1) * ag.leaf(rng_cat))
         },
@@ -243,7 +265,30 @@ def test_grad_check_every_primitive():
         "matmul_stacked": lambda i, p: {
             "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm4))
         },
+        "adaptive_norm": lambda i, p: {
+            "loss": ag.sum_(ag.adaptive_norm(p["p0"], p["p1"], p["p2"], 1e-5) * ag.leaf(rng_bt))
+        },
+        "adaptive_norm_rows": lambda i, p: {
+            "loss": ag.sum_(ag.adaptive_norm(p["p0"], p["p1"], p["p2"], 1e-5) * ag.leaf(rng_bt))
+        },
+        "attention": lambda i, p: {
+            "loss": ag.sum_(ag.attention(p["p0"], p["p1"], p["p2"], 0.7, key_pad) * ag.leaf(rng_att))
+        },
+        "silu": lambda i, p: {"loss": ag.sum_(ag.silu(p["p0"]) * ag.leaf(rng_w))},
+        "linear": lambda i, p: {
+            "loss": ag.sum_(ag.linear(p["p0"], p["p1"], p["p2"]) * ag.leaf(rng_bmm))
+        },
+        "gru_cell": lambda i, p: {"loss": ag.sum_(two_gru_steps(p) * ag.leaf(rng_gru))},
     }
+
+    def two_gru_steps(p):
+        # a float32 initial state and mask: a cell that cast its result to
+        # the state's dtype would truncate the float64 check
+        h = ag.leaf(h0)
+        w, u, b = (tuple(p[f"p{j}"] for j in range(first, first + 3)) for first in (1, 4, 7))
+        for t in range(2):
+            h = ag.gru_cell(p["p0"][t], h, w, u, b, live)
+        return h
 
     rng = np.random.default_rng(42)
     shape_a, shape_b = (4, 3), (4, 3)
@@ -255,25 +300,29 @@ def test_grad_check_every_primitive():
     rng_bt = rng.normal(size=(2, 3, 4)).astype(np.float32)
     rng_th = rng.normal(size=(2, 4, 3, 2)).astype(np.float32)
     rng_bmm4 = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
+    rng_att = rng.normal(size=(2, 2, 3, 2)).astype(np.float32)
+    rng_gru = rng.normal(size=(3, 4)).astype(np.float32)
+    key_pad = np.zeros((2, 1, 1, 4), np.float32)
+    key_pad[1, ..., 3] = -1e9
+    h0 = rng.normal(size=(3, 4)).astype(np.float32)
+    live = np.array([1.0, 0.0, 1.0], np.float32)
 
     two_param = {"add", "sub", "mul", "div", "concat"}
+    shapes_of = {
+        "matmul": [(4, 3), (3, 2)],
+        "matmul_batched": [(2, 4, 3), (2, 3, 2)],
+        "matmul_shared": [(2, 4, 3), (3, 2)],
+        "transpose_batched": [(2, 4, 3)],
+        "transpose_heads": [(2, 3, 4, 2)],
+        "matmul_stacked": [(2, 2, 3, 2), (2, 2, 2, 3)],
+        "adaptive_norm": [(2, 3, 4), (4,), (4,)],
+        "adaptive_norm_rows": [(2, 3, 4), (2, 1, 4), (2, 1, 4)],
+        "attention": [(2, 2, 3, 2), (2, 2, 4, 2), (2, 2, 4, 2)],
+        "linear": [(2, 4, 3), (3, 2), (2,)],
+        "gru_cell": [(2, 3, 2)] + [(2, 4)] * 3 + [(4, 4)] * 3 + [(4,)] * 3,
+    }
     for name, build in cases.items():
-        if name == "matmul":
-            shapes = [(4, 3), (3, 2)]
-        elif name == "matmul_batched":
-            shapes = [(2, 4, 3), (2, 3, 2)]
-        elif name == "matmul_shared":
-            shapes = [(2, 4, 3), (3, 2)]
-        elif name == "transpose_batched":
-            shapes = [(2, 4, 3)]
-        elif name == "transpose_heads":
-            shapes = [(2, 3, 4, 2)]
-        elif name == "matmul_stacked":
-            shapes = [(2, 2, 3, 2), (2, 2, 2, 3)]
-        elif name in two_param:
-            shapes = [shape_a, shape_b]
-        else:
-            shapes = [shape_a]
+        shapes = shapes_of.get(name, [shape_a, shape_b] if name in two_param else [shape_a])
         _check_primitive(build, shapes, points=10, seed=hash(name) % 2**31)
 
 
@@ -322,13 +371,6 @@ def test_reductions_accumulate_float64():
     # check is against the float64 sum of the float32 values
     assert got == x.astype(np.float64).sum().astype(np.float32)
     assert np.isfinite(got)
-
-
-def test_variance_matches_numpy_population():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 8)).astype(np.float32)
-    v = ag.variance(ag.leaf(x), axis=1).value
-    np.testing.assert_allclose(v, x.var(axis=1), rtol=1e-5)
 
 
 def test_batched_matmul_shapes_and_errors():

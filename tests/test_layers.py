@@ -19,7 +19,6 @@ from ccir.layers import (
     linear,
     mha,
     pair_attention_core,
-    silu,
     transformer_layer,
     uniform_init,
 )
@@ -203,13 +202,13 @@ def test_mha_matches_projection_oracle():
 
 def test_silu_identity_points():
     x = np.array([[-20.0, 0.0, 20.0]], dtype=np.float32)
-    out = silu(ag.leaf(x)).value
+    out = ag.silu(ag.leaf(x)).value
     assert abs(out[0, 0]) < 1e-6
     assert out[0, 1] == 0.0
     assert abs(out[0, 2] - 20.0) < 1e-5
     rng = np.random.default_rng(7)
     z = rng.normal(size=(4, 5)).astype(np.float32)
-    assert np.allclose(silu(ag.leaf(z)).value, z / (1 + np.exp(-z)), atol=1e-6)
+    assert np.allclose(ag.silu(ag.leaf(z)).value, z / (1 + np.exp(-z)), atol=1e-6)
 
 
 def test_ffn_matches_manual():
@@ -242,7 +241,7 @@ def test_gru_step_matches_manual_gates():
     init_gru(rng, params, "g", 3, 4)
     x = rng.normal(size=(2, 3)).astype(np.float32)
     h = rng.normal(size=(2, 4)).astype(np.float32)
-    out = gru_step(as_nodes(params), "g", ag.leaf(x), ag.leaf(h)).value
+    out = gru_step(as_nodes(params), "g", ag.leaf(x), ag.leaf(h), np.array([True, False])).value
 
     def sig(a):
         return 1 / (1 + np.exp(-a))
@@ -253,7 +252,9 @@ def test_gru_step_matches_manual_gates():
     r, z = sig(gate("r")), sig(gate("z"))
     n = np.tanh(x @ params["g/n/w"].data + r * (h @ params["g/n/u"].data) + params["g/n/b"].data)
     want = (1 - z) * n + z * h
-    assert np.allclose(out, want, atol=1e-5)
+    assert np.allclose(out[0], want[0], atol=1e-5)
+    # a padded row keeps its state exactly
+    assert np.array_equal(out[1], h[1])
 
 
 def test_gru_saturated_update_gate_keeps_state():
@@ -266,7 +267,7 @@ def test_gru_saturated_update_gate_keeps_state():
     params["g/z/b"] = Tensor(np.full(4, 50.0, np.float32))
     x = rng.normal(size=(2, 3)).astype(np.float32)
     h = rng.normal(size=(2, 4)).astype(np.float32)
-    out = gru_step(as_nodes(params), "g", ag.leaf(x), ag.leaf(h)).value
+    out = gru_step(as_nodes(params), "g", ag.leaf(x), ag.leaf(h), np.ones(2, bool)).value
     assert np.allclose(out, h, atol=1e-4)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from ccir.autograd import forward_backward, run_program as run_graph
 from ccir.config import TrainConfig
-from ccir.data import DataConfig, generate_triplet, render_scene
-from ccir.encoders import patchify
+from ccir.data import DataConfig, build_vocabulary, generate_dataset, generate_triplet, render_scene
+from ccir.encoders import build_text_vocab, patchify
 from ccir.model import (
     alignment_pass,
     build_training_program,
@@ -16,6 +16,7 @@ from ccir.model import (
     init_model_params,
     l2_normalize_rows,
 )
+from ccir.train import _prepare_examples, load_dataset
 
 D_CFG = DataConfig(noise_sigma=0.0)
 SMALL = dict(d=16, n_heads=2, k_steps=2, batch_size=4, epochs=1)
@@ -183,3 +184,32 @@ def test_concept_row_override_is_applied():
     assert np.array_equal(params["concepts/table"].data, rows)
     with pytest.raises(ValueError):
         init_model_params(0, cfg, 16, 8, 3, 10, 4, concept_rows=Tensor(rows))
+
+
+def test_default_training_graph_stays_small(tmp_path):
+    """Each layer is one fused node, so the graph of a default unfrozen
+    step (the first 32 triplets of seed-202 data, seed-0 init, pixels in)
+    stays a few hundred nodes; composed from elementwise primitives it
+    was 914."""
+    generate_dataset(tmp_path, 64, 16, DataConfig(), seed=202)
+    ds = load_dataset(tmp_path)
+    cfg = TrainConfig()
+    modifiers = [r["modifier"] for r in ds.train]
+    text_vocab = build_text_vocab(modifiers)
+    concepts = build_vocabulary(modifiers, pos_set=cfg.pos_classes)
+    params = init_model_params(0, cfg, ds.n_patches, ds.cell_px, ds.channels,
+                               len(text_vocab), len(concepts))
+    ids, labels = _prepare_examples(ds.train, {w: i for i, w in enumerate(text_vocab)},
+                                    concepts, cfg.pos_classes)
+    n, batch = 32, ds.train[:32]
+    patches = np.stack([ds.patches[r["ref_image"]] for r in batch]
+                       + [ds.patches[r["tgt_image"]] for r in batch])
+    program = build_training_program(ids[:n], labels[:n], n, ds.n_patches, cfg)
+    outs, _ = run_graph(program, {"patches": patches}, params)
+    seen, stack = {id(outs["loss"])}, [outs["loss"]]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(seen) <= 600
