@@ -5,11 +5,11 @@ its inputs and parameters, applies the primitives below, and returns named
 output nodes including a scalar ``loss``.  The graph is rebuilt on every
 call; nodes are never mutated after creation.
 
-Primitive set: matmul, elementwise add/sub/mul/div (trailing-dim
-broadcasting), sigmoid, tanh, exp, log, sqrt, softplus, constant powers,
-softmax along an axis, sum/mean along an axis, concatenation, basic
-slicing, row gather (embedding lookup), transpose of two axes; matmul
-also takes (n, L, d) and (n, H, L, d) stacks.  The layers of the model
+Primitive set: matmul by one shared matrix, elementwise add/sub/mul/div
+(trailing-dim broadcasting), sigmoid, log, sqrt, softplus, constant
+powers, softmax along an axis, sum/mean along an axis, concatenation,
+basic slicing, row gather (embedding lookup), transpose of two axes.
+The layers of the model
 are fused into one node each with a hand-written backward: ``linear``
 (x @ w + b), ``silu``, ``adaptive_norm`` (standardization over the last
 axis with a supplied scale and shift), ``attention`` (scaled dot-product
@@ -223,32 +223,21 @@ def div(a: Node, b: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """a @ b in two cases: ``b`` is one matrix for every row of ``a`` (any
-    leading axes, 1-D included; its gradient sums over them), or ``a`` and
-    ``b`` are stacks of matrices with equal leading axes."""
+    """a @ b for one matrix ``b`` shared by every row of ``a`` (any leading
+    axes, 1-D included): a single GEMM over all the rows, whose ``b``
+    gradient sums over them."""
     av, bv = a.value, b.value
-    if av.ndim < 1 or bv.ndim < 2:
-        raise ShapeError(f"matmul: need a >= 1-D and b >= 2-D, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
+    if av.ndim < 1 or bv.ndim != 2:
+        raise ShapeError(f"matmul: need a >= 1-D and b 2-D, got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
-    if bv.ndim == 2:
-        # rows @ one matrix: a batch is a single GEMM over all its rows
-        rows = av.reshape(-1, av.shape[-1])
-        out = Node((rows @ bv).reshape(av.shape[:-1] + bv.shape[1:]), "matmul", (a, b))
-
-        def backward(g):
-            g = g.reshape(-1, g.shape[-1])
-            _accum(a, (g @ bv.T).reshape(av.shape))
-            _accum(b, rows.T @ g)
-
-        return _finish(out, backward)
-    if av.shape[:-2] != bv.shape[:-2]:
-        raise ShapeError(f"matmul: batch sizes differ, {av.shape} @ {bv.shape}")
-    out = Node(av @ bv, "matmul", (a, b))
+    rows = av.reshape(-1, av.shape[-1])
+    out = Node((rows @ bv).reshape(av.shape[:-1] + bv.shape[1:]), "matmul", (a, b))
 
     def backward(g):
-        _accum(a, g @ np.swapaxes(bv, -1, -2))
-        _accum(b, np.swapaxes(av, -1, -2) @ g)
+        g = g.reshape(-1, g.shape[-1])
+        _accum(a, (g @ bv.T).reshape(av.shape))
+        _accum(b, rows.T @ g)
 
     return _finish(out, backward)
 
@@ -319,24 +308,6 @@ def silu(a: Node) -> Node:
         _accum(a, ds)
 
     return _finish(Node(x * s, "silu", (a,)), backward)
-
-
-def tanh(a: Node) -> Node:
-    val = np.tanh(a.value)
-
-    def backward(g):
-        _accum(a, g * (1.0 - val * val))
-
-    return _finish(Node(val, "tanh", (a,)), backward)
-
-
-def exp(a: Node) -> Node:
-    val = np.exp(a.value)
-
-    def backward(g):
-        _accum(a, g * val)
-
-    return _finish(Node(val, "exp", (a,)), backward)
 
 
 def log(a: Node) -> Node:

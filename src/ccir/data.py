@@ -13,6 +13,7 @@ attention can be scored against known concept locations.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import warnings
@@ -377,19 +378,12 @@ def _shape_mask(shape: str, px: int) -> np.ndarray:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-_MASK_CACHE: dict = {}
-
-
-def _mask(shape: str, px: int) -> np.ndarray:
-    key = (shape, px)
-    if key not in _MASK_CACHE:
-        _MASK_CACHE[key] = _shape_mask(shape, px)
-    return _MASK_CACHE[key]
-
-
+@functools.lru_cache(maxsize=None)
 def render_cell(shape: str, color: str, action: str, px: int, channels: int) -> np.ndarray:
+    """One object's px x px x channels patch; read-only, since a cell is
+    drawn once per distinct (shape, color, action, px, channels)."""
     patch = np.full((px, px, channels), BACKGROUND, dtype=np.float32)
-    mask = _mask(shape, px)
+    mask = _shape_mask(shape, px)
     rgb = np.asarray(COLOR_RGB[color][:channels], dtype=np.float32)
     patch[mask] = rgb
     if action == "spin":
@@ -400,6 +394,7 @@ def render_cell(shape: str, color: str, action: str, px: int, channels: int) -> 
         yy, _ = np.mgrid[0:px, 0:px]
         waves = mask & (yy % 3 == 1)
         patch[waves] = rgb * 0.45 + 0.55
+    patch.flags.writeable = False
     return patch
 
 

@@ -123,14 +123,10 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
                 bags = encode_tokens_batch_node(p, tgt_tok, cfg.n_heads)
             else:
                 bags = joint_encode_batch_node(p, ref_tok, tgt_tok, cfg.n_heads)
-            att, s = concept_mil_node(bags, p["concepts/table"])
+            _, s = concept_mil_node(bags, p["concepts/table"])
             bp = 0.0 if cfg.cross_entropy_loss else cfg.beta_plus
             bm = 0.0 if cfg.cross_entropy_loss else cfg.beta_minus
             l_c = asymmetric_loss_node(s, labels, bp, bm, batch_size=n_examples)
-            # diagnostic only: each example's map averaged over its concepts
-            outputs["align_weights"] = ag.leaf(
-                mean_concept_map(att.value, labels).reshape(-1, 1)
-            )
 
         # target-side feature for matching: pool the encoder tokens directly
         _, v = attention_pool_batch_node(p, tgt_tok)
@@ -200,23 +196,23 @@ def embed_queries(params: ParameterSet, ref_token_stack: np.ndarray,
     return u.value.astype(np.float32), ctx
 
 
-def alignment_pass(params: ParameterSet, ref_tokens: np.ndarray, tgt_tokens: np.ndarray,
-                   cfg: TrainConfig, concept_ids=None) -> tuple[np.ndarray, np.ndarray]:
-    """Joint attention map and per-concept scores for one pair.
+def alignment_maps(params: ParameterSet, patches: np.ndarray, concept_mask: np.ndarray,
+                   cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Joint attention maps and concept scores of n (reference, target) pairs.
 
-    The map is the mean of the attention maps of ``concept_ids`` (every
-    concept when None or empty), one weight per joint token.
+    patches: (2n, L, patch_dim), the n references then the n targets;
+    concept_mask: (n, C) of 0/1.  Row i's map is the mean of the attention
+    maps of its masked concepts (of every concept when none is masked),
+    one weight per joint token.  Returns maps (n, 2L) and sigmoid scores
+    (n, C).
     """
     p = _params_to_nodes(params)
-    ref = ag.leaf(_examples(ref_tokens, 1, -1))
-    tgt = ag.leaf(_examples(tgt_tokens, 1, -1))
+    n, seg_len = len(concept_mask), patches.shape[1]
+    ref, tgt = _visual_tokens(p, {"patches": ag.leaf(patches)}, n, seg_len, cfg)
     bags = joint_encode_batch_node(p, ref, tgt, cfg.n_heads)
     att, s = concept_mil_node(bags, p["concepts/table"])
-    mask = np.zeros((1, att.shape[2]), dtype=np.float32)
-    if concept_ids is not None:
-        mask[0, list(concept_ids)] = 1.0
-    weights = mean_concept_map(att.value, mask)[0]
-    return weights.astype(np.float32), ag.sigmoid(s).value[0].astype(np.float32)
+    maps = mean_concept_map(att.value, concept_mask)
+    return maps.astype(np.float32), ag.sigmoid(s).value.astype(np.float32)
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .encoders import (
 )
 from .metrics import Metrics, compute_metrics, rank_rows, visually_similar_subset
 from .model import (
-    alignment_pass,
+    alignment_maps,
     build_training_program,
     embed_queries,
     embed_targets,
@@ -209,6 +209,12 @@ def _prepare_examples(records, text_index, concept_vocab, pos_classes):
     return ids_list, np.stack(labels) if labels else None
 
 
+def _pair_patches(dataset: Dataset, records) -> np.ndarray:
+    """(2n, L, patch_dim): the records' reference images, then their targets."""
+    return np.stack([dataset.patches[r["ref_image"]] for r in records]
+                    + [dataset.patches[r["tgt_image"]] for r in records])
+
+
 def _encode_images(params, dataset: Dataset, image_ids, cfg: TrainConfig) -> np.ndarray:
     """(N, L, d) tokens of the listed images, encoded EVAL_CHUNK at a time."""
     tokens = np.empty((len(image_ids), dataset.n_patches, cfg.d), dtype=np.float32)
@@ -287,12 +293,7 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
                         "tgt_tokens": np.stack([token_cache[r["tgt_image"]] for r in batch]),
                     }
                 else:
-                    inputs = {
-                        "patches": np.stack(
-                            [dataset.patches[r["ref_image"]] for r in batch]
-                            + [dataset.patches[r["tgt_image"]] for r in batch]
-                        )
-                    }
+                    inputs = {"patches": _pair_patches(dataset, batch)}
 
                 program = build_training_program(ids_batch, labels, n, L, cfg)
                 try:
@@ -442,11 +443,22 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
 # ---------------------------------------------------------------------------
 
 
-def _alignment_pass(ckpt: Checkpoint, rec: dict, dataset: Dataset, concept_ids):
-    cfg = ckpt.config
-    ref_tok = encode_images_array(ckpt.params, dataset.patches[rec["ref_image"]], 1, cfg)
-    tgt_tok = encode_images_array(ckpt.params, dataset.patches[rec["tgt_image"]], 1, cfg)
-    return alignment_pass(ckpt.params, ref_tok, tgt_tok, cfg, concept_ids)
+def _alignment_rows(ckpt: Checkpoint, records, dataset: Dataset) -> list:
+    """``alignment_record`` rows of the records' pairs, from one batched pass."""
+    vocab = ckpt.concept_vocab
+    mask = np.stack([
+        ConceptLabelVector.from_concepts(rec["concepts"], vocab.concepts).labels for rec in records
+    ])
+    maps, scores = alignment_maps(ckpt.params, _pair_patches(dataset, records), mask, ckpt.config)
+    return [{
+        "id": rec["id"],
+        "concepts": rec["concepts"],
+        "concept_scores": {
+            c: float(s_prime[vocab.index[c]]) for c in rec["concepts"] if c in vocab
+        },
+        "attention": [float(w) for w in weights],
+        "boundary": dataset.n_patches,
+    } for rec, weights, s_prime in zip(records, maps, scores)]
 
 
 def alignment_record(ckpt: Checkpoint, rec: dict, dataset: Dataset) -> dict:
@@ -454,22 +466,15 @@ def alignment_record(ckpt: Checkpoint, rec: dict, dataset: Dataset) -> dict:
 
     The map is the mean of the attention maps of the triplet's concepts.
     """
-    index = ckpt.concept_vocab.index
-    known = [c for c in rec["concepts"] if c in ckpt.concept_vocab]
-    weights, s_prime = _alignment_pass(ckpt, rec, dataset, [index[c] for c in known])
-    return {
-        "id": rec["id"],
-        "concepts": rec["concepts"],
-        "concept_scores": {c: float(s_prime[index[c]]) for c in known},
-        "attention": [float(w) for w in weights],
-        "boundary": dataset.n_patches,
-    }
+    return _alignment_rows(ckpt, [rec], dataset)[0]
 
 
 def export_alignment_diagnostics(ckpt: Checkpoint, records, dataset: Dataset, path) -> None:
+    """One ``alignment_record`` row per triplet, computed EVAL_CHUNK at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(alignment_record(ckpt, rec, dataset), sort_keys=True) + "\n")
+        for start in range(0, len(records), EVAL_CHUNK):
+            for row in _alignment_rows(ckpt, records[start : start + EVAL_CHUNK], dataset):
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def export_alignment_heatmap(ckpt: Checkpoint, rec: dict, concept: str,
@@ -479,7 +484,9 @@ def export_alignment_heatmap(ckpt: Checkpoint, rec: dict, concept: str,
     if concept not in ckpt.concept_vocab:
         raise DataError(f"concept {concept!r} not in the model vocabulary")
     cid = ckpt.concept_vocab.index[concept]
-    weights, s_prime = _alignment_pass(ckpt, rec, dataset, [cid])
+    one_hot = np.eye(len(ckpt.concept_vocab), dtype=np.float32)[[cid]]
+    maps, scores = alignment_maps(ckpt.params, _pair_patches(dataset, [rec]), one_hot, ckpt.config)
+    weights, s_prime = maps[0], scores[0]
     gh, gw = ckpt.grid
     w = weights.astype(np.float64)
     ref_grid = w[: gh * gw].reshape(gh, gw)

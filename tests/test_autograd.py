@@ -1,5 +1,6 @@
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_forward_backward_deterministic():
     w = Tensor(rng.normal(size=(3, 2)).astype(np.float32))
 
     def program(inputs, params):
-        h = ag.tanh(ag.matmul(inputs["x"], params["w"]))
+        h = ag.sigmoid(ag.matmul(inputs["x"], params["w"]))
         return {"loss": ag.sum_(h * h)}
 
     o1, g1 = ag.forward_backward(program, {"x": x}, ParameterSet({"w": w}))
@@ -125,7 +126,7 @@ def test_graph_is_freed_without_the_collector():
     interior node dies as soon as the outputs are released."""
 
     def program(inputs, params):
-        h = ag.tanh(ag.matmul(inputs["x"], params["w"]))
+        h = ag.sigmoid(ag.matmul(inputs["x"], params["w"]))
         y = ag.softmax(ag.sigmoid(h) * h, axis=1)
         refs.append(weakref.ref(h))
         return {"y": y, "loss": ag.sum_(ag.sqrt(1.0 + y * y))}
@@ -237,10 +238,8 @@ def test_grad_check_every_primitive():
         "div": lambda i, p: {"loss": ag.sum_(ag.div(p["p0"], 2.0 + ag.sigmoid(p["p1"])))},
         "matmul": lambda i, p: {"loss": ag.sum_(ag.matmul(p["p0"], p["p1"]))},
         "sigmoid": lambda i, p: {"loss": ag.sum_(ag.sigmoid(p["p0"]) * ag.leaf(rng_w))},
-        "tanh": lambda i, p: {"loss": ag.sum_(ag.tanh(p["p0"]) * ag.leaf(rng_w))},
-        "exp": lambda i, p: {"loss": ag.sum_(ag.exp(p["p0"]))},
-        "log": lambda i, p: {"loss": ag.sum_(ag.log(2.0 + ag.tanh(p["p0"])))},
-        "sqrt": lambda i, p: {"loss": ag.sum_(ag.sqrt(2.0 + ag.tanh(p["p0"])))},
+        "log": lambda i, p: {"loss": ag.sum_(ag.log(2.0 + ag.sigmoid(p["p0"])))},
+        "sqrt": lambda i, p: {"loss": ag.sum_(ag.sqrt(2.0 + ag.sigmoid(p["p0"])))},
         "softplus": lambda i, p: {"loss": ag.sum_(ag.softplus(p["p0"]) * ag.leaf(rng_w))},
         "powc": lambda i, p: {"loss": ag.sum_(ag.powc(1.5 + ag.sigmoid(p["p0"]), 3.0))},
         "softmax": lambda i, p: {"loss": ag.sum_(ag.softmax(p["p0"], axis=1) * ag.leaf(rng_w))},
@@ -250,9 +249,6 @@ def test_grad_check_every_primitive():
         },
         "slice": lambda i, p: {"loss": ag.sum_(p["p0"][1:3, :2] * ag.leaf(rng_sl))},
         "transpose": lambda i, p: {"loss": ag.sum_(ag.transpose(p["p0"]) * ag.leaf(rng_w.T))},
-        "matmul_batched": lambda i, p: {
-            "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm))
-        },
         "matmul_shared": lambda i, p: {
             "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm))
         },
@@ -261,9 +257,6 @@ def test_grad_check_every_primitive():
         },
         "transpose_heads": lambda i, p: {
             "loss": ag.sum_(ag.transpose(p["p0"], -3, -2) * ag.leaf(rng_th))
-        },
-        "matmul_stacked": lambda i, p: {
-            "loss": ag.sum_(ag.matmul(p["p0"], p["p1"]) * ag.leaf(rng_bmm4))
         },
         "adaptive_norm": lambda i, p: {
             "loss": ag.sum_(ag.adaptive_norm(p["p0"], p["p1"], p["p2"], 1e-5) * ag.leaf(rng_bt))
@@ -299,7 +292,6 @@ def test_grad_check_every_primitive():
     rng_bmm = rng.normal(size=(2, 4, 2)).astype(np.float32)
     rng_bt = rng.normal(size=(2, 3, 4)).astype(np.float32)
     rng_th = rng.normal(size=(2, 4, 3, 2)).astype(np.float32)
-    rng_bmm4 = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
     rng_att = rng.normal(size=(2, 2, 3, 2)).astype(np.float32)
     rng_gru = rng.normal(size=(3, 4)).astype(np.float32)
     key_pad = np.zeros((2, 1, 1, 4), np.float32)
@@ -310,11 +302,9 @@ def test_grad_check_every_primitive():
     two_param = {"add", "sub", "mul", "div", "concat"}
     shapes_of = {
         "matmul": [(4, 3), (3, 2)],
-        "matmul_batched": [(2, 4, 3), (2, 3, 2)],
         "matmul_shared": [(2, 4, 3), (3, 2)],
         "transpose_batched": [(2, 4, 3)],
         "transpose_heads": [(2, 3, 4, 2)],
-        "matmul_stacked": [(2, 2, 3, 2), (2, 2, 2, 3)],
         "adaptive_norm": [(2, 3, 4), (4,), (4,)],
         "adaptive_norm_rows": [(2, 3, 4), (2, 1, 4), (2, 1, 4)],
         "attention": [(2, 2, 3, 2), (2, 2, 4, 2), (2, 2, 4, 2)],
@@ -323,7 +313,7 @@ def test_grad_check_every_primitive():
     }
     for name, build in cases.items():
         shapes = shapes_of.get(name, [shape_a, shape_b] if name in two_param else [shape_a])
-        _check_primitive(build, shapes, points=10, seed=hash(name) % 2**31)
+        _check_primitive(build, shapes, points=10, seed=zlib.crc32(name.encode()))
 
 
 def test_gather_rows_grad_and_bounds():
@@ -375,11 +365,11 @@ def test_reductions_accumulate_float64():
 
 def test_batched_matmul_shapes_and_errors():
     a = ag.leaf(np.ones((2, 4, 3), np.float32))
-    assert ag.matmul(a, ag.leaf(np.ones((2, 3, 5), np.float32))).shape == (2, 4, 5)
     assert ag.matmul(a, ag.leaf(np.ones((3, 5), np.float32))).shape == (2, 4, 5)
     assert ag.transpose(a).shape == (2, 3, 4)
-    with pytest.raises(ag.ShapeError, match="batch sizes"):
-        ag.matmul(a, ag.leaf(np.ones((3, 3, 5), np.float32)))
+    # b is one matrix shared by every row of a; a stack b is rejected
+    with pytest.raises(ag.ShapeError, match="b 2-D"):
+        ag.matmul(a, ag.leaf(np.ones((2, 3, 5), np.float32)))
     with pytest.raises(ag.ShapeError, match="inner"):
         ag.matmul(a, ag.leaf(np.ones((4, 5), np.float32)))
     with pytest.raises(ag.ShapeError):
@@ -388,11 +378,11 @@ def test_batched_matmul_shapes_and_errors():
         ag.transpose(ag.leaf(np.ones(3, np.float32)))
     x = ag.leaf(np.ones((2, 3, 4, 5), np.float32))
     assert ag.transpose(x, -3, -2).shape == (2, 4, 3, 5)
-    assert ag.matmul(x, ag.leaf(np.ones((2, 3, 5, 6), np.float32))).shape == (2, 3, 4, 6)
+    assert ag.matmul(x, ag.leaf(np.ones((5, 6), np.float32))).shape == (2, 3, 4, 6)
+    with pytest.raises(ag.ShapeError, match="b 2-D"):
+        ag.matmul(x, ag.leaf(np.ones((2, 3, 5, 6), np.float32)))
     vec = ag.leaf(np.ones(5, np.float32))
     assert ag.matmul(vec, ag.leaf(np.ones((5, 2), np.float32))).shape == (2,)
-    with pytest.raises(ag.ShapeError, match="batch sizes"):
-        ag.matmul(x, ag.leaf(np.ones((3, 2, 5, 6), np.float32)))
     with pytest.raises(ag.ShapeError):
         ag.matmul(ag.leaf(np.ones((4, 3), np.float32)), ag.leaf(np.ones(3, np.float32)))
     with pytest.raises(ag.ShapeError):

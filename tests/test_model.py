@@ -8,7 +8,7 @@ from ccir.config import TrainConfig
 from ccir.data import DataConfig, build_vocabulary, generate_dataset, generate_triplet, render_scene
 from ccir.encoders import build_text_vocab, patchify
 from ccir.model import (
-    alignment_pass,
+    alignment_maps,
     build_training_program,
     embed_queries,
     embed_targets,
@@ -57,10 +57,9 @@ def run_program(cfg, params, ids_batch, labels, ref, tgt):
 def test_program_outputs_and_shapes():
     cfg, params, ids, labels, ref, tgt = make_batch()
     outs, grads = run_program(cfg, params, ids, labels, ref, tgt)
-    n, L = 4, D_CFG.n_cells
+    n = 4
     assert outs["scores"].shape == (n, n)
     assert outs["loss"].shape == ()
-    assert outs["align_weights"].shape == (n * 2 * L, 1)
     assert float(outs["loss"].data) > 0
     # every parameter got a gradient entry
     assert sorted(grads.paths()) == sorted(params.paths())
@@ -83,7 +82,6 @@ def test_remove_concept_module_drops_alignment():
     cfg, params, ids, labels, ref, tgt = make_batch()
     ab = small_cfg(remove_concept_module=True)
     outs, grads = run_program(ab, params, ids, labels, ref, tgt)
-    assert "align_weights" not in outs
     assert float(outs["L_c"].data) == 0.0
     assert abs(float(outs["loss"].data) - float(outs["L_m"].data)) < 1e-7
     # concept table receives no gradient without the alignment loss
@@ -162,17 +160,23 @@ def test_train_eval_parity_on_scores():
     assert np.allclose(scores, outs["scores"].value, atol=1e-5)
 
 
-def test_alignment_pass_weights_partition():
+def test_alignment_maps_partition():
+    """Each pair's map is a distribution over its 2L joint tokens, and a
+    row with no concept maps the mean of every concept's map."""
     cfg, params, ids, labels, ref, tgt = make_batch()
-    L = D_CFG.n_cells
-    ref_tok = encode_images_array(params, ref[:L], 1, cfg)
-    tgt_tok = encode_images_array(params, tgt[:L], 1, cfg)
-    weights, s_prime = alignment_pass(params, ref_tok, tgt_tok, cfg)
-    assert weights.shape == (2 * L,)
-    assert abs(weights.sum() - 1.0) < 1e-5
-    assert weights.min() >= 0
-    assert s_prime.shape[0] == params["concepts/table"].shape[0]
+    n, L = labels.shape[0], D_CFG.n_cells
+    patches = np.concatenate([ref, tgt]).reshape(2 * n, L, -1)
+    mask = labels.copy()
+    mask[1] = 0.0
+    maps, s_prime = alignment_maps(params, patches, mask, cfg)
+    assert maps.shape == (n, 2 * L)
+    assert np.allclose(maps.sum(axis=1), 1.0, atol=1e-5)
+    assert maps.min() >= 0
+    assert s_prime.shape == (n, params["concepts/table"].shape[0])
     assert ((0 < s_prime) & (s_prime < 1)).all()
+    every = alignment_maps(params, patches, np.ones_like(mask), cfg)[0]
+    assert np.allclose(maps[1], every[1], atol=1e-7)
+    assert not np.allclose(maps[0], every[0], atol=1e-6)
 
 
 def test_concept_row_override_is_applied():

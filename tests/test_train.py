@@ -8,9 +8,11 @@ import pytest
 from ccir.config import TrainConfig
 from ccir.data import DataConfig, generate_dataset, read_jsonl
 from ccir.train import (
+    EVAL_CHUNK,
     Checkpoint,
     DataError,
     NumericFailure,
+    alignment_record,
     evaluate,
     export_alignment_diagnostics,
     export_alignment_heatmap,
@@ -168,6 +170,27 @@ def test_alignment_diagnostics_export(tiny_dir, tmp_path):
         assert abs(sum(row["attention"]) - 1.0) < 1e-4
         for c, score in row["concept_scores"].items():
             assert 0.0 < score < 1.0
+
+
+def test_chunked_diagnostics_match_per_record_rows(tmp_path):
+    """The export runs EVAL_CHUNK pairs per pass; across a chunk boundary
+    its rows equal one alignment_record call per triplet."""
+    generate_dataset(tmp_path / "data", 32, EVAL_CHUNK + 3, DataConfig(), seed=79)
+    ckpt, _ = train(small_cfg(epochs=1, freeze_epochs=0), tmp_path / "data")
+    ds = load_dataset(tmp_path / "data")
+    export_alignment_diagnostics(ckpt, ds.val, ds, tmp_path / "diag.jsonl")
+    rows = read_jsonl(tmp_path / "diag.jsonl")
+    assert len(rows) == EVAL_CHUNK + 3
+    for row, rec in zip(rows, ds.val):
+        want = alignment_record(ckpt, rec, ds)
+        assert sorted(row) == sorted(want)
+        assert row["id"] == want["id"] == rec["id"]
+        assert row["concepts"] == want["concepts"]
+        assert row["boundary"] == want["boundary"]
+        np.testing.assert_allclose(row["attention"], want["attention"], atol=1e-6)
+        assert sorted(row["concept_scores"]) == sorted(want["concept_scores"])
+        for c, score in want["concept_scores"].items():
+            assert abs(row["concept_scores"][c] - score) <= 1e-6
 
 
 def test_heatmap_export_files(tiny_dir, tmp_path):
