@@ -76,14 +76,6 @@ class ConceptLabelVector:
                 vec[index[c]] = 1.0
         return cls(vec)
 
-    @property
-    def positives(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == 1.0)
-
-    @property
-    def negatives(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == 0.0)
-
 
 # ---------------------------------------------------------------------------
 # initialization

@@ -107,9 +107,9 @@ class Node:
 
 def leaf(values, dtype=None) -> Node:
     """Graph leaf from an array, Tensor, or scalar."""
-    if isinstance(values, Tensor):
-        values = values.data
-    arr = np.asarray(values)
+    if isinstance(values, Tensor) and dtype is None:  # float32, finite, read-only
+        return Node(values.data)
+    arr = np.asarray(values.data if isinstance(values, Tensor) else values)
     if dtype is not None:
         arr = arr.astype(dtype)
     elif not np.issubdtype(arr.dtype, np.floating):

@@ -42,41 +42,47 @@ def rank_rows(scores: np.ndarray, id_order: np.ndarray) -> np.ndarray:
     scores: Q x G; id_order[j] = rank of gallery j's id in ascending id
     order.  Returns Q x G of gallery indices, best first.
     """
-    q, g = scores.shape
-    out = np.empty((q, g), dtype=np.int64)
-    for i in range(q):
-        # lexsort uses the last key as primary
-        out[i] = np.lexsort((id_order, -scores[i].astype(np.float64)))
-    return out
-
-
-def target_ranks(orderings: np.ndarray, target_indices) -> np.ndarray:
-    """1-based rank of each query's true target."""
-    targets = np.asarray(target_indices)
-    hits = orderings == targets[:, None]
-    return hits.argmax(axis=1) + 1
+    # row by row along the last axis; lexsort uses the last key as primary
+    return np.lexsort((np.broadcast_to(id_order, scores.shape), -scores.astype(np.float64)))
 
 
 def recall_at(ranks: np.ndarray, ks) -> dict:
     return {int(k): float((ranks <= k).mean()) for k in ks}
 
 
-def subset_target_ranks(scores: np.ndarray, subsets, target_indices,
-                        id_order: np.ndarray) -> np.ndarray:
-    """Rank of the target among its visually-similar candidates only."""
-    ranks = np.empty(len(subsets), dtype=np.int64)
-    for i, subset in enumerate(subsets):
-        subset = list(subset)
-        if target_indices[i] not in subset:
-            raise ValueError(f"query {i}: target not in its candidate subset")
-        sub_scores = scores[i, subset].astype(np.float64)
-        order = np.lexsort((id_order[subset], -sub_scores))
-        ranked = [subset[j] for j in order]
-        ranks[i] = ranked.index(target_indices[i]) + 1
+SUBSET_CHUNK = 256  # targets ranked at once
+
+
+def _counted_ranks(row_scores, row_ids, tgt_score, tgt_id) -> np.ndarray:
+    """Rank in ``rank_rows`` order: 1 + scores above + ties whose id sorts first."""
+    tgt_score, tgt_id = tgt_score[:, None], tgt_id[:, None]
+    return (1 + np.count_nonzero(row_scores > tgt_score, axis=1)
+            + np.count_nonzero((row_scores == tgt_score) & (row_ids < tgt_id), axis=1))
+
+
+def gallery_target_ranks(scores: np.ndarray, target_indices, id_order: np.ndarray) -> np.ndarray:
+    """Rank of each query's target over the whole gallery, SUBSET_CHUNK rows at a time."""
+    targets = np.asarray(target_indices, dtype=np.int64)
+    ranks = np.empty(len(targets), dtype=np.int64)
+    for start in range(0, len(targets), SUBSET_CHUNK):
+        t = targets[start : start + SUBSET_CHUNK]
+        rows = scores[start : start + len(t)]
+        ranks[start : start + len(t)] = _counted_ranks(
+            rows, id_order, rows[np.arange(len(t)), t], id_order[t])
     return ranks
 
 
-SUBSET_CHUNK = 256  # targets ranked at once
+def subset_target_ranks(scores: np.ndarray, subsets, target_indices,
+                        id_order: np.ndarray) -> np.ndarray:
+    """Rank of the target among its visually-similar candidates only."""
+    targets = np.asarray(target_indices, dtype=np.int64)
+    idx = np.asarray(subsets, dtype=np.int64)
+    missing = np.flatnonzero(~(idx == targets[:, None]).any(axis=1))
+    if missing.size:
+        raise ValueError(f"query {missing[0]}: target not in its candidate subset")
+    rows = np.arange(len(targets))
+    return _counted_ranks(scores[rows[:, None], idx], id_order[idx],
+                          scores[rows, targets], id_order[targets])
 
 
 def visually_similar_subset(target_indices, gallery_feats: np.ndarray,
@@ -86,18 +92,23 @@ def visually_similar_subset(target_indices, gallery_feats: np.ndarray,
     Returns one sorted index list per target.  Ties broken by ascending
     gallery id; feats are any fixed per-image descriptor (the harness uses
     mean-pooled tokens from a seed-initialized encoder so subsets do not
-    depend on the trained checkpoint).  The gallery is cast and normalized
-    once for all targets.
+    depend on the trained checkpoint).  Only each target's ``size`` best
+    are sorted, unless more than ``size`` tie at the cut.
     """
-    size = min(size, gallery_feats.shape[0])
+    size = max(1, min(size, gallery_feats.shape[0]))  # 0 keeps the target, as 1 does
     feats = gallery_feats.astype(np.float64)
     norms = np.maximum(np.linalg.norm(feats, axis=1), 1e-12)
     subsets = []
     for start in range(0, len(target_indices), SUBSET_CHUNK):
         chunk = np.asarray(target_indices[start : start + SUBSET_CHUNK], dtype=np.int64)
-        sims = feats[chunk] @ feats.T / (norms[chunk, None] * norms)
+        neg = -(feats[chunk] @ feats.T / (norms[chunk, None] * norms))
+        best = np.argpartition(neg, size - 1, axis=1)[:, :size]
+        best_neg = np.take_along_axis(neg, best, axis=1)
         # lexsort's last key is primary: descending cosine, then ascending id
-        order = np.lexsort((np.broadcast_to(id_order, sims.shape), -sims))[:, :size]
+        order = np.take_along_axis(best, np.lexsort((id_order[best], best_neg)), axis=1)
+        # rows where more than size reach the cut value: sort them in full
+        for r in np.flatnonzero((neg <= best_neg.max(axis=1, keepdims=True)).sum(axis=1) > size):
+            order[r] = np.lexsort((id_order, neg[r]))[:size]
         # per target, its first size-1 neighbors other than itself
         subsets += [sorted(row[row != t][: size - 1].tolist() + [t])
                     for t, row in zip(chunk.tolist(), order)]
@@ -109,8 +120,7 @@ def compute_metrics(scores: np.ndarray, target_indices, gallery_ids,
                     subset_ks=(1, 2, 3)) -> Metrics:
     gallery_ids = list(gallery_ids)
     id_order = np.argsort(np.argsort(np.asarray(gallery_ids, dtype=object)))
-    orderings = rank_rows(scores, id_order)
-    ranks = target_ranks(orderings, target_indices)
+    ranks = gallery_target_ranks(scores, target_indices, id_order)
     ks = [k for k in recall_ks if k <= len(gallery_ids)]
     m = Metrics(r_at=recall_at(ranks, ks))
     if subsets is not None:

@@ -415,9 +415,8 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     else:
         feats = frozen_encoder_features(dataset, cfg, gallery_ids)
         distinct = sorted(set(target_indices))
-        subset_of_target = dict(zip(
-            distinct, visually_similar_subset(distinct, feats, cfg.subset_size, id_order)
-        ))
+        subset_of_target = dict(zip(distinct, visually_similar_subset(
+            distinct, feats, cfg.subset_size, id_order)))
         if subsets_cache is not None:
             subsets_cache[cache_key] = subset_of_target
     subsets = [subset_of_target[t] for t in target_indices]
@@ -427,9 +426,8 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
     )
 
     if score_dump_path is not None:
-        orderings = rank_rows(scores, id_order)
         with open(score_dump_path, "w", encoding="utf-8") as fh:
-            for i, (rec, order) in enumerate(zip(query_records, orderings)):
+            for i, (rec, order) in enumerate(zip(query_records, rank_rows(scores, id_order))):
                 fh.write(json.dumps({
                     "query": rec["id"],
                     "ranked": [gallery_ids[j] for j in order],

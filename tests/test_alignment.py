@@ -232,8 +232,6 @@ def test_scores_width_mismatch():
 def test_label_vector_construction():
     vec = ConceptLabelVector.from_concepts(["red", "circle"], ["blue", "circle", "red"])
     assert vec.labels.tolist() == [0.0, 1.0, 1.0]
-    assert vec.positives.tolist() == [1, 2]
-    assert vec.negatives.tolist() == [0]
     with pytest.raises(ValueError):
         ConceptLabelVector(np.array([0.0, 2.0]))
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ccir import metrics
 from ccir.config import TrainConfig
 from ccir.data import DataConfig, generate_dataset, read_jsonl
 from ccir.train import (
@@ -155,6 +156,37 @@ def test_evaluate_score_dump_is_ranked(tiny_dir, tmp_path):
     for row in rows:
         assert sorted(row["ranked"]) == gallery
         assert row["scores"] == sorted(row["scores"], reverse=True)
+
+
+def test_score_dump_ranks_equal_counted_ranks(tiny_dir, tmp_path, monkeypatch):
+    ckpt, _ = train(small_cfg(epochs=1), tiny_dir)
+    ds = load_dataset(tiny_dir)
+    counted = []
+    count = metrics.gallery_target_ranks
+    monkeypatch.setattr(metrics, "gallery_target_ranks",
+                        lambda *args: counted.append(count(*args)) or counted[-1])
+    dump = tmp_path / "scores.jsonl"
+    m = evaluate(ckpt, ds.val, ds, score_dump_path=dump)
+    rows = read_jsonl(dump)
+    dumped = np.array([row["ranked"].index(rec["tgt_image"]) + 1
+                       for row, rec in zip(rows, ds.val)])
+    (ranks,) = counted
+    assert [row["query"] for row in rows] == [rec["id"] for rec in ds.val]
+    assert dumped.tolist() == ranks.tolist()
+    assert m.r_at == {k: float((dumped <= k).mean()) for k in m.r_at}
+
+
+def test_evaluate_without_dump_never_sorts_whole_rows(tiny_dir, monkeypatch):
+    ckpt, _ = train(small_cfg(epochs=1), tiny_dir)
+    ds = load_dataset(tiny_dir)
+    want = evaluate(ckpt, ds.val, ds).to_dict()
+
+    def full_sort(*args):
+        raise AssertionError("evaluate sorted every score row")
+
+    monkeypatch.setattr("ccir.train.rank_rows", full_sort)
+    monkeypatch.setattr("ccir.metrics.rank_rows", full_sort)
+    assert evaluate(ckpt, ds.val, ds).to_dict() == want
 
 
 def test_alignment_diagnostics_export(tiny_dir, tmp_path):
