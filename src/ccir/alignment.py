@@ -11,8 +11,6 @@ many uncertain negatives trains the scores.  The attention-pool head
 (``pool/*``) belongs to retrieval and is not used here.
 
 The graph builders work on a whole batch, with tokens as (n, L, d).
-``attention_pool``, ``alignment_scores`` and ``asymmetric_loss`` are
-single-example numpy references for tests.
 """
 
 from __future__ import annotations
@@ -31,29 +29,10 @@ from .layers import (
     linear,
     pair_attention_core,
 )
-from .tensor import ParameterSet, Tensor
 
 JOINT_PREFIX = "joint"
 POOL_PREFIX = "pool"
 JOINT_LAYERS = 2
-
-
-@dataclass
-class AttentionPooling:
-    weights: np.ndarray
-    pooled: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(self.weights.sum()) - 1.0) > 1e-6:
-            raise ValueError("attention weights must sum to 1")
-        if self.weights.min() < 0:
-            raise ValueError("attention weights must be non-negative")
-
-
-@dataclass
-class AlignmentScores:
-    s: np.ndarray
-    s_prime: np.ndarray
 
 
 @dataclass
@@ -179,17 +158,14 @@ def attention_pool_batch_node(p, tokens):
 
 
 def asymmetric_loss_node(s_logits, labels: np.ndarray, beta_plus: float,
-                         beta_minus: float, batch_size: int | None = None):
-    """Batched asymmetric multi-label loss from raw logits.
+                         beta_minus: float):
+    """Batched asymmetric multi-label loss from raw n x C logits.
 
     Per example the positive/negative terms are summed; the total is
-    divided by the batch size.  Rows with no positive label are masked
-    out (degenerate supervision).
+    divided by the batch size n, the rows of ``labels``.  Rows with no
+    positive label are masked out (degenerate supervision).
     """
     labels = np.asarray(labels, dtype=np.float32)
-    if labels.ndim == 1:
-        labels = labels[None, :]
-    n = batch_size if batch_size is not None else labels.shape[0]
     row_live = (labels.sum(axis=1, keepdims=True) > 0).astype(np.float32)
     if row_live.sum() < labels.shape[0]:
         warnings.warn("asymmetric loss: skipping example(s) with no positive concept")
@@ -202,49 +178,4 @@ def asymmetric_loss_node(s_logits, labels: np.ndarray, beta_plus: float,
     neg = (1.0 - y) * ag.powc(sp, beta_minus) * log_1msp
     per_example = ag.sum_(pos + neg, axis=1, keepdims=True)
     total = ag.sum_(per_example * ag.leaf(row_live))
-    return -total * (1.0 / float(n))
-
-
-# ---------------------------------------------------------------------------
-# single-example references (numpy in, numpy out)
-# ---------------------------------------------------------------------------
-
-
-def attention_pool(tokens: np.ndarray, params: ParameterSet) -> AttentionPooling:
-    if tokens.ndim != 2 or tokens.shape[0] < 1:
-        raise ValueError(f"need a non-empty L x d token matrix, got {tokens.shape}")
-    p = {k: ag.leaf(v) for k, v in params.items()}
-    w, pooled = attention_pool_batch_node(p, ag.leaf(tokens[None]))
-    return AttentionPooling(
-        weights=w.value.reshape(-1).astype(np.float32),
-        pooled=pooled.value[0].astype(np.float32),
-    )
-
-
-def alignment_scores(pooled: np.ndarray, table: np.ndarray) -> AlignmentScores:
-    table = table.data if isinstance(table, Tensor) else np.asarray(table)
-    if pooled.shape[-1] != table.shape[1]:
-        raise ValueError(f"width mismatch: pooled {pooled.shape} vs table {table.shape}")
-    s64 = table.astype(np.float64) @ pooled.astype(np.float64)
-    sp64 = 1.0 / (1.0 + np.exp(-s64))
-    return AlignmentScores(s=s64.astype(np.float32), s_prime=sp64.astype(np.float32))
-
-
-def asymmetric_loss(scores: AlignmentScores, labels: ConceptLabelVector,
-                    beta_plus: float = 1.0, beta_minus: float = 4.0) -> float:
-    """Single-example loss (positive and negative terms summed)."""
-    if beta_plus < 0 or beta_minus < 0:
-        raise ValueError("focusing exponents must be non-negative")
-    y = labels.labels.astype(np.float64)
-    if scores.s.shape != y.shape:
-        raise ValueError(f"scores {scores.s.shape} vs labels {y.shape}")
-    if y.sum() == 0:
-        warnings.warn("asymmetric loss: no positive concept, example skipped")
-        return 0.0
-    s = scores.s.astype(np.float64)
-    sp = 1.0 / (1.0 + np.exp(-s))
-    log_sp = -np.logaddexp(0.0, -s)
-    log_1msp = -np.logaddexp(0.0, s)
-    pos = y * (1.0 - sp) ** beta_plus * log_sp
-    neg = (1.0 - y) * sp**beta_minus * log_1msp
-    return float(-(pos + neg).sum())
+    return -total * (1.0 / float(labels.shape[0]))

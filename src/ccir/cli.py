@@ -14,10 +14,10 @@ from pathlib import Path
 
 from .config import TrainConfig
 from .data import (
-    COLORS,
     DataConfig,
     generate_dataset,
     make_zero_shot_split,
+    split_configs,
     write_jsonl,
 )
 from .train import (
@@ -114,11 +114,7 @@ def build_train_config(args) -> TrainConfig:
 
 
 def cmd_generate_data(args) -> int:
-    holdout = [c for c in (args.holdout_colors or "").split(",") if c]
-    for c in holdout:
-        if c not in COLORS:
-            print(f"config error: unknown holdout color {c!r}", file=sys.stderr)
-            return EXIT_CONFIG
+    holdout = tuple(c for c in (args.holdout_colors or "").split(",") if c)
     try:
         gh, gw = (int(x) for x in args.grid.lower().split("x"))
         cfg = DataConfig(
@@ -128,12 +124,13 @@ def cmd_generate_data(args) -> int:
             max_objects=args.max_objects,
             noise_sigma=args.noise_sigma,
         )
+        split_configs(cfg, args.n_train, args.n_val, holdout)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     paths = generate_dataset(
         args.out, args.n_train, args.n_val, cfg, seed=args.seed,
-        holdout_colors=tuple(holdout),
+        holdout_colors=holdout,
     )
     print(json.dumps({k: str(v) for k, v in paths.items()}, sort_keys=True))
     return EXIT_OK

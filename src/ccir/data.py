@@ -92,10 +92,6 @@ class DataConfig:
     def n_cells(self) -> int:
         return self.grid[0] * self.grid[1]
 
-    @property
-    def image_shape(self) -> tuple:
-        return (self.grid[0] * self.cell_px, self.grid[1] * self.cell_px, self.channels)
-
 
 @dataclass
 class Scene:
@@ -123,13 +119,6 @@ class Scene:
             if action != "none":
                 out.add(action)
         return out
-
-    def to_json(self) -> dict:
-        return {str(i): list(v) for i, v in sorted(self.cells.items())}
-
-    @classmethod
-    def from_json(cls, grid, data: dict) -> "Scene":
-        return cls(tuple(grid), {int(k): tuple(v) for k, v in data.items()})
 
 
 @dataclass
@@ -461,9 +450,6 @@ class ImageStore:
             self._index = json.load(fh)
         self._fh = open(store_path, "rb")
 
-    def ids(self) -> list:
-        return sorted(self._index)
-
     def __contains__(self, image_id: str) -> bool:
         return image_id in self._index
 
@@ -523,24 +509,37 @@ def read_jsonl(path) -> list:
 # ---------------------------------------------------------------------------
 
 
+def split_configs(config: DataConfig, n_train: int, n_val: int,
+                  holdout_colors: tuple = ()) -> dict:
+    """Split name -> (triplet count, DataConfig); raises ValueError on bad
+    arguments.  ``holdout_colors`` are excluded from the training config."""
+    if n_train < 0 or n_val < 0:
+        raise ValueError(f"triplet counts must be non-negative, got {n_train} and {n_val}")
+    for c in holdout_colors:
+        if c not in config.colors:
+            raise ValueError(f"holdout color {c!r} not in config colors")
+    train_colors = tuple(c for c in config.colors if c not in holdout_colors)
+    try:
+        train_cfg = DataConfig(**{**asdict(config), "colors": train_colors})
+    except ValueError as e:
+        raise ValueError(f"training colors {list(train_colors)} after the holdout: {e}") from e
+    return {"train": (n_train, train_cfg), "val": (n_val, config)}
+
+
 def generate_dataset(out_dir, n_train: int, n_val: int, config: DataConfig,
                      seed: int, holdout_colors: tuple = ()) -> dict:
     """Write train/val triplet files plus the shared image store.
 
     ``holdout_colors`` are excluded from training scenes entirely (pixels
     and words), so their words exist only in validation modifiers — the
-    zero-shot construction.
+    zero-shot construction.  Bad arguments raise ValueError before
+    anything is written.
     """
     from pathlib import Path
 
+    splits = split_configs(config, n_train, n_val, holdout_colors)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for c in holdout_colors:
-        if c not in config.colors:
-            raise ValueError(f"holdout color {c!r} not in config colors")
-    train_colors = tuple(c for c in config.colors if c not in holdout_colors)
-    train_cfg = DataConfig(**{**asdict(config), "colors": train_colors})
-    splits = {"train": (n_train, train_cfg), "val": (n_val, config)}
 
     paths = {
         "store": out / "images.nct",

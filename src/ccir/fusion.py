@@ -8,9 +8,7 @@ the block's attention and feed-forward weights are the same at every
 step.  Applying the block K times from the raw reference tokens, step i
 reading instance i, yields the fused query feature.
 
-The graph builders work on a whole batch, with tokens as (n, L, d);
-``adaptive_norm`` and ``batch_classification_loss`` are float64 numpy
-references for tests.
+The graph builders work on a whole batch, with tokens as (n, L, d).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 
 from . import autograd as ag
 from .layers import (
-    NORM_EPS,
     adaptive_norm_node,
     attention_core,
     ffn,
@@ -140,26 +137,3 @@ def total_loss_node(l_m, l_c, alpha: float):
     if l_c is None or alpha == 0.0:
         return l_m
     return l_m + float(alpha) * l_c
-
-
-# ---------------------------------------------------------------------------
-# numpy references (float64, for tests)
-# ---------------------------------------------------------------------------
-
-
-def adaptive_norm(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                  eps: float = NORM_EPS) -> np.ndarray:
-    x64 = np.asarray(x, dtype=np.float64)
-    m = x64.mean(axis=-1, keepdims=True)
-    v = x64.var(axis=-1, keepdims=True)
-    return (sigma * (x64 - m) / np.sqrt(v + eps) + mu).astype(np.float32)
-
-
-def batch_classification_loss(score_matrix: np.ndarray, gamma: float) -> float:
-    m = np.asarray(score_matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"need a square score matrix, got {m.shape}")
-    z = gamma * m
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-np.mean(np.diag(log_probs)))

@@ -126,7 +126,7 @@ def build_training_program(ids_batch: list, labels: np.ndarray | None,
             _, s = concept_mil_node(bags, p["concepts/table"])
             bp = 0.0 if cfg.cross_entropy_loss else cfg.beta_plus
             bm = 0.0 if cfg.cross_entropy_loss else cfg.beta_minus
-            l_c = asymmetric_loss_node(s, labels, bp, bm, batch_size=n_examples)
+            l_c = asymmetric_loss_node(s, labels, bp, bm)
 
         # target-side feature for matching: pool the encoder tokens directly
         _, v = attention_pool_batch_node(p, tgt_tok)

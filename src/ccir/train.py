@@ -140,10 +140,6 @@ class Dataset:
     def n_patches(self) -> int:
         return self.grid[0] * self.grid[1]
 
-    @property
-    def patch_dim(self) -> int:
-        return self.cell_px * self.cell_px * self.channels
-
 
 def load_dataset(data_dir) -> Dataset:
     root = Path(data_dir)

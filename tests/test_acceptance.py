@@ -12,18 +12,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ccir.alignment import (AlignmentScores, ConceptLabelVector, alignment_scores,
-                            asymmetric_loss, attention_pool)
+from ccir import autograd as ag
+from ccir.alignment import asymmetric_loss_node, attention_pool_batch_node
 from ccir.autograd import grad_check
 from ccir.config import TrainConfig
 from ccir.data import (DataConfig, generate_dataset, generate_triplet,
                        make_zero_shot_split, render_scene)
 from ccir.encoders import (build_text_vocab, patchify, tokenize, validate_image,
                            words_to_ids)
-from ccir.fusion import adaptive_norm, batch_classification_loss
+from ccir.fusion import batch_classification_loss_node
+from ccir.layers import adaptive_norm_node
 from ccir.model import build_training_program, init_model_params
 from ccir.optim import OptimizerState, adamw_step
-from ccir.tensor import ParameterSet, Tensor
 from ccir.train import Checkpoint, alignment_record, evaluate, load_dataset, train
 from ccir.autograd import forward_backward
 
@@ -169,6 +169,12 @@ def test_full_loss_gradient_check():
 # ---------------------------------------------------------------------------
 
 
+def f64(x):
+    """A float64 leaf: checks 2-4 run the model's graph nodes at float64, so
+    their bounds measure the formulas rather than float32 rounding."""
+    return ag.leaf(x, dtype=np.float64)
+
+
 def test_loss_identities_bce_and_uniform_batch():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -178,16 +184,13 @@ def test_loss_identities_bce_and_uniform_batch():
         if y.sum() == 0:
             y[int(rng.integers(n))] = 1.0
         p = 1.0 / (1.0 + np.exp(-s.astype(np.float64)))
-        got = asymmetric_loss(
-            AlignmentScores(s=s.astype(np.float32), s_prime=p.astype(np.float32)),
-            ConceptLabelVector(y), beta_plus=0.0, beta_minus=0.0,
-        )
+        got = float(asymmetric_loss_node(f64(s[None]), y[None], 0.0, 0.0).value)
         bce = -float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
         assert abs(got - bce) <= 1e-6, f"asymmetric loss at zero exponents: {got} vs {bce}"
 
     for n in (2, 8, 32):
         scores = np.full((n, n), 0.37, dtype=np.float64)
-        loss = batch_classification_loss(scores, gamma=2.65926)
+        loss = float(batch_classification_loss_node(f64(scores), gamma=2.65926).value)
         assert abs(loss - np.log(n)) <= 1e-6, f"uniform batch loss N={n}: {loss}"
 
 
@@ -199,13 +202,14 @@ def test_loss_identities_bce_and_uniform_batch():
 def test_adaptive_norm_identities():
     rng = np.random.default_rng(1)
     x = rng.normal(2.0, 3.0, (100, 16)).astype(np.float64)
-    out = adaptive_norm(x, np.zeros(16), np.ones(16))
+    out = adaptive_norm_node(f64(x), f64(np.zeros(16)), f64(np.ones(16))).value
     assert np.abs(out.mean(axis=1)).max() <= 1e-5
     assert np.abs(out.var(axis=1) - 1.0).max() <= 1e-4
 
     # two-element worked example: normalize [1, 3], then scale 2 shift 5
     row = np.array([[1.0, 3.0]])
-    got = adaptive_norm(row, np.array([5.0, 5.0]), np.array([2.0, 2.0]))
+    got = adaptive_norm_node(f64(row), f64(np.array([5.0, 5.0])),
+                             f64(np.array([2.0, 2.0]))).value
     unit = 1.0 / np.sqrt(1.0 + 1e-5)
     exact = np.array([[5.0 - 2.0 * unit, 5.0 + 2.0 * unit]])
     assert np.abs(got - exact).max() <= 1e-6
@@ -225,16 +229,17 @@ def test_attention_pool_matches_brute_force():
         tokens = rng.normal(0.0, 1.0, (L, d)).astype(np.float32)
         w = rng.normal(0.0, 1.0, (d, 1)).astype(np.float32)
         b = rng.normal(0.0, 1.0, (1,)).astype(np.float32)
-        params = ParameterSet({"pool/w": Tensor(w), "pool/b": Tensor(b)})
+        params = {"pool/w": f64(w), "pool/b": f64(b)}
 
-        res = attention_pool(tokens, params)
+        weights, res = attention_pool_batch_node(params, f64(tokens[None]))
+        weights, res = weights.value.reshape(-1), res.value[0]
         logits = tokens.astype(np.float64) @ w.astype(np.float64) + b
         e = np.exp(logits - logits.max())
         a = (e / e.sum()).reshape(-1)
         pooled = a @ tokens.astype(np.float64)
-        assert abs(float(res.weights.sum()) - 1.0) <= 1e-6
-        assert np.abs(res.weights - a).max() <= 1e-6
-        assert np.abs(res.pooled - pooled).max() <= 1e-6
+        assert abs(float(weights.sum()) - 1.0) <= 1e-6
+        assert np.abs(weights - a).max() <= 1e-6
+        assert np.abs(res - pooled).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,8 @@ import pytest
 
 from ccir import autograd as ag
 from ccir.alignment import (
-    AlignmentScores,
-    AttentionPooling,
     ConceptLabelVector,
-    alignment_scores,
-    asymmetric_loss,
     asymmetric_loss_node,
-    attention_pool,
     attention_pool_batch_node,
     concept_mil_node,
     init_attention_pool,
@@ -99,19 +94,33 @@ def test_joint_context_mixes_reference_and_target():
 # -- attention pooling ------------------------------------------------------
 
 
+def pool(toks, params):
+    """Attention weights (L,) and pooled feature (d,) of one example's
+    L x d tokens, from the batched node at n = 1."""
+    p = {k: ag.leaf(v) for k, v in params.items()}
+    w, pooled = attention_pool_batch_node(p, ag.leaf(toks[None]))
+    return w.value[0, :, 0], pooled.value[0]
+
+
+def np_pool(toks, params):
+    """Brute-force float64 softmax-attention pooling of L x d tokens."""
+    logits = (toks.astype(np.float64) @ params["pool/w"].data + params["pool/b"].data)[:, 0]
+    e = np.exp(logits - logits.max())
+    w = e / e.sum()
+    return w, w @ toks.astype(np.float64)
+
+
 def test_pool_identical_tokens_is_uniform():
     params = make_params()
     toks = np.tile(np.linspace(0, 1, 8, dtype=np.float32), (5, 1))
-    out = attention_pool(toks, params)
-    assert np.allclose(out.weights, 0.2, atol=1e-6)
-    assert np.allclose(out.pooled, toks[0], atol=1e-6)
+    weights, pooled = pool(toks, params)
+    assert np.allclose(weights, 0.2, atol=1e-6)
+    assert np.allclose(pooled, toks[0], atol=1e-6)
 
 
 def test_pool_closed_form_two_tokens():
     """Logits [0, ln 3] must give weights [1/4, 3/4]."""
     d = 4
-    params = ParameterSet({"pool/w": Tensor(np.zeros((d, 1), np.float32)),
-                           "pool/b": Tensor.zeros((1,))})
     # craft tokens whose logit is their first coordinate
     w = np.zeros((d, 1), np.float32)
     w[0, 0] = 1.0
@@ -119,8 +128,8 @@ def test_pool_closed_form_two_tokens():
     toks = np.zeros((2, d), np.float32)
     toks[0, 0] = 0.0
     toks[1, 0] = np.log(3.0)
-    out = attention_pool(toks, params)
-    assert np.allclose(out.weights, [0.25, 0.75], atol=1e-6)
+    weights, _ = pool(toks, params)
+    assert np.allclose(weights, [0.25, 0.75], atol=1e-6)
 
 
 def test_pool_brute_force_oracle():
@@ -128,20 +137,11 @@ def test_pool_brute_force_oracle():
     rng = np.random.default_rng(4)
     for _ in range(20):
         toks = rand_tokens(rng, 5)
-        out = attention_pool(toks, params)
-        logits = toks @ params["pool/w"].data + params["pool/b"].data
-        e = np.exp(logits[:, 0] - logits[:, 0].max())
-        w = e / e.sum()
-        assert np.allclose(out.weights, w, atol=1e-6)
-        assert np.allclose(out.pooled, w @ toks, atol=1e-6)
-        assert abs(out.weights.sum() - 1.0) <= 1e-6
-
-
-def test_pooling_type_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        AttentionPooling(np.array([0.5, 0.4]), np.zeros(4))
-    with pytest.raises(ValueError):
-        AttentionPooling(np.array([1.5, -0.5]), np.zeros(4))
+        weights, pooled = pool(toks, params)
+        w, want = np_pool(toks, params)
+        assert np.allclose(weights, w, atol=1e-6)
+        assert np.allclose(pooled, want, atol=1e-6)
+        assert abs(weights.sum() - 1.0) <= 1e-6
 
 
 def test_batched_pooling_matches_single():
@@ -152,9 +152,9 @@ def test_batched_pooling_matches_single():
     w, pooled = attention_pool_batch_node(p, ag.leaf(np.stack(segs)))
     assert w.shape == (3, 4, 1)
     for i, seg in enumerate(segs):
-        single = attention_pool(seg, params)
-        assert np.allclose(pooled.value[i], single.pooled, atol=1e-6)
-        assert np.allclose(w.value[i, :, 0], single.weights, atol=1e-6)
+        weights, want = np_pool(seg, params)
+        assert np.allclose(pooled.value[i], want, atol=1e-6)
+        assert np.allclose(w.value[i, :, 0], weights, atol=1e-6)
 
 
 def test_joint_pool_differs_from_single_image_pool():
@@ -163,9 +163,9 @@ def test_joint_pool_differs_from_single_image_pool():
     params = make_params()
     rng = np.random.default_rng(6)
     f_r, f_t = rand_tokens(rng, 4), rand_tokens(rng, 4)
-    joint = attention_pool(joint_tokens(f_r, f_t, params), params).pooled
-    ref_alone = attention_pool(f_r, params).pooled
-    tgt_alone = attention_pool(f_t, params).pooled
+    joint = pool(joint_tokens(f_r, f_t, params), params)[1]
+    ref_alone = pool(f_r, params)[1]
+    tgt_alone = pool(f_t, params)[1]
     assert not np.allclose(joint, ref_alone, atol=1e-3)
     assert not np.allclose(joint, tgt_alone, atol=1e-3)
 
@@ -203,30 +203,7 @@ def test_concept_maps_differ_and_average():
     assert np.allclose(maps.sum(axis=1), 1.0, atol=1e-6)
 
 
-# -- scoring ----------------------------------------------------------------
-
-
-def test_scores_orthogonal_vector_gives_half():
-    pooled = np.array([1.0, 0.0], dtype=np.float32)
-    table = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=np.float32)
-    out = alignment_scores(pooled, table)
-    assert abs(out.s[0]) < 1e-7 and abs(out.s_prime[0] - 0.5) < 1e-7
-    assert abs(out.s[1] - 2.0) < 1e-6
-
-
-def test_scores_scale_linearly_and_preserve_ranking():
-    rng = np.random.default_rng(7)
-    pooled = rng.normal(size=4).astype(np.float32)
-    table = rng.normal(size=(6, 4)).astype(np.float32)
-    a = alignment_scores(pooled, table)
-    b = alignment_scores(3.0 * pooled, table)
-    assert np.allclose(b.s, 3.0 * a.s, atol=1e-5)
-    assert np.array_equal(np.argsort(a.s), np.argsort(b.s))
-
-
-def test_scores_width_mismatch():
-    with pytest.raises(ValueError):
-        alignment_scores(np.zeros(4, np.float32), np.zeros((3, 5), np.float32))
+# -- labels ---------------------------------------------------------------
 
 
 def test_label_vector_construction():
@@ -239,20 +216,29 @@ def test_label_vector_construction():
 # -- asymmetric loss --------------------------------------------------------
 
 
+def loss(s, y, beta_plus=1.0, beta_minus=4.0):
+    """The node's loss of one example (n = 1) from its logits, at float64."""
+    s = ag.leaf(np.asarray(s)[None], dtype=np.float64)
+    return float(asymmetric_loss_node(s, np.asarray(y)[None], beta_plus, beta_minus).value)
+
+
+def np_asymmetric_loss(s, y, beta_plus, beta_minus):
+    """Brute-force float64 loss of one example: its terms summed."""
+    s, y = np.asarray(s, np.float64), np.asarray(y, np.float64)
+    sp = 1.0 / (1.0 + np.exp(-s))
+    pos = y * (1.0 - sp) ** beta_plus * np.log(sp)
+    neg = (1.0 - y) * sp**beta_minus * np.log(1.0 - sp)
+    return float(-(pos + neg).sum())
+
+
 def test_loss_single_positive_hand_value():
     """One positive at logit 0: term = -(1-0.5)^1 * log 0.5 = 0.5*ln 2."""
-    scores = AlignmentScores(s=np.array([0.0], np.float32),
-                             s_prime=np.array([0.5], np.float32))
-    labels = ConceptLabelVector(np.array([1.0], np.float32))
-    val = asymmetric_loss(scores, labels, beta_plus=1.0, beta_minus=4.0)
+    val = loss([0.0], [1.0], beta_plus=1.0, beta_minus=4.0)
     assert abs(val - 0.5 * np.log(2.0)) < 1e-7
 
 
 def test_loss_saturated_positive_is_zero():
-    scores = AlignmentScores(s=np.array([40.0], np.float32),
-                             s_prime=np.array([1.0], np.float32))
-    labels = ConceptLabelVector(np.array([1.0], np.float32))
-    assert asymmetric_loss(scores, labels) < 1e-12
+    assert loss([40.0], [1.0]) < 1e-12
 
 
 def test_loss_zero_exponents_reduce_to_bce():
@@ -262,9 +248,7 @@ def test_loss_zero_exponents_reduce_to_bce():
         y = (rng.uniform(size=12) < 0.5).astype(np.float64)
         if y.sum() == 0:
             y[0] = 1.0
-        scores = AlignmentScores(s=s.astype(np.float32),
-                                 s_prime=(1 / (1 + np.exp(-s))).astype(np.float32))
-        got = asymmetric_loss(scores, ConceptLabelVector(y.astype(np.float32)), 0.0, 0.0)
+        got = loss(s, y, 0.0, 0.0)
         sp = 1 / (1 + np.exp(-s))
         bce = -(y * np.log(sp) + (1 - y) * np.log(1 - sp)).sum()
         assert abs(got - bce) < 1e-6
@@ -272,58 +256,38 @@ def test_loss_zero_exponents_reduce_to_bce():
 
 def test_loss_focusing_downweights_easy_negatives():
     """(s')^4 factor: a confident wrong negative contributes 0.6561x BCE."""
-    s = np.array([np.log(9.0)], np.float32)  # s' = 0.9
-    sp = 1 / (1 + np.exp(-s.astype(np.float64)))
-    scores = AlignmentScores(s=s, s_prime=sp.astype(np.float32))
-    labels = ConceptLabelVector(np.array([0.0], np.float32))
-    # add a positive so the example is not skipped
-    s2 = np.concatenate([s, [40.0]])
-    sp2 = 1 / (1 + np.exp(-s2.astype(np.float64)))
-    scores2 = AlignmentScores(s=s2.astype(np.float32), s_prime=sp2.astype(np.float32))
-    labels2 = ConceptLabelVector(np.array([0.0, 1.0], np.float32))
-    focused = asymmetric_loss(scores2, labels2, 1.0, 4.0)
-    flat = asymmetric_loss(scores2, labels2, 1.0, 0.0)
+    # s' = 0.9 on the negative; a saturated positive keeps the example live
+    s = [np.log(9.0), 40.0]
+    y = [0.0, 1.0]
+    focused = loss(s, y, 1.0, 4.0)
+    flat = loss(s, y, 1.0, 0.0)
     assert focused < flat
     assert abs(focused / flat - 0.9**4) < 1e-3
 
 
 def test_loss_monotone_decrease_as_logits_improve():
-    labels = ConceptLabelVector(np.array([1.0, 0.0, 0.0], np.float32))
+    y = [1.0, 0.0, 0.0]
     prev = np.inf
     for scale in (0.5, 1.0, 2.0, 4.0):
-        s = np.array([scale, -scale, -scale], np.float64)
-        sp = 1 / (1 + np.exp(-s))
-        val = asymmetric_loss(
-            AlignmentScores(s.astype(np.float32), sp.astype(np.float32)), labels
-        )
+        val = loss([scale, -scale, -scale], y)
         assert val < prev
         prev = val
     assert prev >= 0.0
 
 
 def test_loss_no_positives_warns_and_skips():
-    scores = AlignmentScores(s=np.zeros(3, np.float32),
-                             s_prime=np.full(3, 0.5, np.float32))
-    labels = ConceptLabelVector(np.zeros(3, np.float32))
     with pytest.warns(UserWarning):
-        assert asymmetric_loss(scores, labels) == 0.0
+        assert loss(np.zeros(3), np.zeros(3)) == 0.0
 
 
 def test_batched_loss_node_matches_per_example_mean():
     rng = np.random.default_rng(9)
     n, m = 4, 7
-    s = rng.normal(scale=1.5, size=(n, m))
+    s = rng.normal(scale=1.5, size=(n, m)).astype(np.float32)
     y = (rng.uniform(size=(n, m)) < 0.4).astype(np.float32)
     y[:, 0] = 1.0  # keep every row supervised
-    node = asymmetric_loss_node(ag.leaf(s.astype(np.float32)), y, 1.0, 4.0, n)
-    per_example = [
-        asymmetric_loss(
-            AlignmentScores(s[i].astype(np.float32),
-                            (1 / (1 + np.exp(-s[i]))).astype(np.float32)),
-            ConceptLabelVector(y[i]), 1.0, 4.0,
-        )
-        for i in range(n)
-    ]
+    node = asymmetric_loss_node(ag.leaf(s), y, 1.0, 4.0)
+    per_example = [np_asymmetric_loss(s[i], y[i], 1.0, 4.0) for i in range(n)]
     assert abs(float(node.value) - np.mean(per_example)) < 1e-5
 
 
@@ -332,7 +296,7 @@ def test_batched_loss_node_skips_unsupervised_rows():
     y = np.zeros((2, 3), np.float32)
     y[0, 1] = 1.0
     with pytest.warns(UserWarning):
-        node = asymmetric_loss_node(ag.leaf(s), y, 1.0, 4.0, 2)
+        node = asymmetric_loss_node(ag.leaf(s), y, 1.0, 4.0)
     # only row 0 contributes; divisor stays the full batch size
     want = (0.5 * np.log(2.0) + 2 * 0.5**4 * np.log(2.0)) / 2.0
     assert abs(float(node.value) - want) < 1e-6

@@ -160,6 +160,25 @@ def test_exit_2_on_bad_config(data_dir, tmp_path, capsys):
                  "--holdout-colors", "mauve"]) == 2
 
 
+@pytest.mark.parametrize("holdout", ["red,blue,green,yellow,purple",
+                                     "red,blue,green,yellow,purple,orange"])
+def test_exit_2_when_holdout_leaves_one_training_color(tmp_path, capsys, holdout):
+    out = tmp_path / "d"
+    assert main(["generate-data", "--out", str(out), "--n-train", "4", "--n-val", "2",
+                 "--seed", "1", "--holdout-colors", holdout]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("counts", [("-1", "2"), ("4", "-1")])
+def test_exit_2_on_negative_triplet_count(tmp_path, capsys, counts):
+    out = tmp_path / "d"
+    assert main(["generate-data", "--out", str(out), "--n-train", counts[0],
+                 "--n-val", counts[1], "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_exit_3_on_missing_data(run_dir, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(run_dir / "model.nck"),
                  "--data", str(tmp_path / "missing")]) == 3

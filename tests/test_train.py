@@ -46,7 +46,7 @@ def tiny_dir(tmp_path_factory):
 def test_load_dataset_bundle(data_dir):
     ds = load_dataset(data_dir)
     assert len(ds.train) == 200 and len(ds.val) == 24
-    assert ds.n_patches == 16 and ds.patch_dim == 8 * 8 * 3
+    assert ds.n_patches == 16 and (ds.cell_px, ds.channels) == (8, 3)
     some_img = next(iter(ds.patches.values()))
     assert some_img.shape == (16, 192)
 
