@@ -1,14 +1,17 @@
 """Weakly-supervised concept alignment over cell-paired reference+target tokens.
 
-The two images' token grids are contextualized by a small transformer in
-which each token attends only to itself and to the same grid cell of the
-other image, so a token carries the evidence of its own cell pair and not
-of the whole pair of images.  The 2L tokens form the bag of a
-concept-conditioned attention-MIL: every concept attends over the bag with
-its own softmax of token . concept-row logits and scores it by the
-attention-weighted logit.  An asymmetric multi-label loss that softens the
-many uncertain negatives trains the scores.  The attention-pool head
-(``pool/*``) belongs to retrieval and is not used here.
+The two images' token grids are laid out as (n, L, 2, d), each cell's
+reference and target tokens on a pair axis, and contextualized by the
+shared pre-norm transformer layer (``layers.transformer_layer``, the one
+the image encoder runs) attending over that axis.  So each token attends
+only to itself and to the same grid cell of the other image, and carries
+the evidence of its own cell pair and not of the whole pair of images.
+The 2L tokens form the bag of a concept-conditioned attention-MIL: every
+concept attends over the bag with its own softmax of token . concept-row
+logits and scores it by the attention-weighted logit.  An asymmetric
+multi-label loss that softens the many uncertain negatives trains the
+scores.  The attention-pool head (``pool/*``) belongs to retrieval and is
+not used here.
 
 The graph builders work on a whole batch, with tokens as (n, L, d).
 """
@@ -21,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .layers import (
-    ffn,
-    init_linear,
-    init_transformer_layer,
-    layer_norm,
-    linear,
-    pair_attention_core,
-)
+from .layers import init_linear, init_transformer_layer, linear, transformer_layer
 
 JOINT_PREFIX = "joint"
 POOL_PREFIX = "pool"
@@ -75,51 +71,36 @@ def init_attention_pool(rng, params: dict, d: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _paired_layers(p, x, partner, n_heads: int):
-    """Pre-norm transformer layers whose attention is restricted to pairs.
-
-    x: (n, B, d).  ``partner(node)`` returns the node with every token
-    replaced by its partner; each token attends only to itself and that
-    partner.
-    """
-    for i in range(JOINT_LAYERS):
-        lp = f"{JOINT_PREFIX}/l{i}"
-        h = layer_norm(p, lp + "/ln1", x)
-        q, k, v = (linear(p, f"{lp}/attn/{name}", h) for name in ("q", "k", "v"))
-        att = pair_attention_core(q, k, v, partner(k), partner(v), n_heads)
-        x = x + linear(p, lp + "/attn/o", att)
-        x = x + ffn(p, lp + "/ffn", layer_norm(p, lp + "/ln2", x))
-    return x
-
-
 def joint_encode_batch_node(p, ref_tokens, tgt_tokens, n_heads: int):
     """Contextualize cell-paired reference and target tokens.
 
     ref_tokens, tgt_tokens: (n, L, d), with the grid cells in the same
-    order in both images.  Each token attends only to itself and to the
-    same cell of the other image.  Returns (n, 2L, d) with each example's
-    reference cells first.
+    order in both images.  Each cell's two tokens form an (n, L, 2, d)
+    pair axis, and the joint layers attend over it, so a token sees
+    itself and the same cell of the other image.  Returns (n, 2L, d) with
+    each example's reference cells first.
     """
     if ref_tokens.shape != tgt_tokens.shape:
         raise ag.ShapeError(
             f"joint encode: cell-paired tokens differ, {ref_tokens.shape} vs {tgt_tokens.shape}"
         )
-    seg_len = ref_tokens.shape[1]
-
-    def swap_images(t):
-        return ag.concat([t[:, seg_len:], t[:, :seg_len]], axis=1)
-
-    x = ag.concat([ref_tokens, tgt_tokens], axis=1)
-    return _paired_layers(p, x, swap_images, n_heads)
+    n, seg_len, d = ref_tokens.shape
+    x = ag.concat([ag.reshape(t, (n, seg_len, 1, d)) for t in (ref_tokens, tgt_tokens)], axis=2)
+    for i in range(JOINT_LAYERS):
+        x = transformer_layer(p, f"{JOINT_PREFIX}/l{i}", x, n_heads)
+    return ag.reshape(ag.transpose(x, 1, 2), (n, 2 * seg_len, d))
 
 
 def encode_tokens_batch_node(p, tokens, n_heads: int):
     """The same layers over one image's (n, L, d) tokens; returns (n, L, d).
 
-    With no second image a token's only partner is itself, so each token
-    attends to itself alone.
+    With no second image each cell's pair axis holds one token, and a
+    softmax over one key is 1, so each token attends to itself alone.
     """
-    return _paired_layers(p, tokens, lambda t: t, n_heads)
+    x = ag.reshape(tokens, tokens.shape[:2] + (1, tokens.shape[2]))
+    for i in range(JOINT_LAYERS):
+        x = transformer_layer(p, f"{JOINT_PREFIX}/l{i}", x, n_heads)
+    return ag.reshape(x, tokens.shape)
 
 
 def concept_mil_node(bags, table):

@@ -12,8 +12,9 @@ basic slicing, row gather (embedding lookup), transpose of two axes.
 The layers of the model
 are fused into one node each with a hand-written backward: ``linear``
 (x @ w + b), ``silu``, ``adaptive_norm`` (standardization over the last
-axis with a supplied scale and shift), ``attention`` (scaled dot-product
-attention over head stacks) and ``gru_cell`` (one masked GRU update).
+axis with a supplied scale and shift), ``attention`` (multi-head scaled
+dot-product attention over (..., L, d) tokens, which splits and merges
+the heads itself) and ``gru_cell`` (one masked GRU update).
 Reductions accumulate in float64 regardless of storage dtype.  A
 backward function is given its node's gradient and holds the parents and
 arrays it needs, never the node, so a graph holds no reference cycle and
@@ -26,6 +27,7 @@ the intended rejection.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -524,32 +526,50 @@ def adaptive_norm(x: Node, mu: Node, sigma: Node, eps: float) -> Node:
     return _finish(out, backward)
 
 
-def attention(q: Node, k: Node, v: Node, scale: float, mask=None) -> Node:
-    """softmax(q @ k^T * scale + mask) @ v over stacks of (L, dh) matrices
-    with equal leading axes, e.g. (n, H, L, dh) heads.  ``mask`` is a
-    constant array broadcastable to the (..., Lq, Lk) logits, added to
-    them in their dtype (0 for a live key, -1e9 for a padded one)."""
+def attention(q: Node, k: Node, v: Node, n_heads: int, mask=None) -> Node:
+    """Multi-head scaled dot-product attention over tokens.
+
+    q: (..., Lq, d), k and v: (..., Lk, d), already projected, with equal
+    leading axes; each leading index attends over its own tokens.  The
+    width splits into ``n_heads`` heads of d / n_heads columns, each
+    scaled by 1 / sqrt(d / n_heads), and the heads merge back into
+    (..., Lq, d).  ``mask`` is a constant array broadcastable to the
+    (..., Lq, Lk) logits of every head, added to them in their dtype (0
+    for a live key, -1e9 for a padded one)."""
     qv, kv, vv = q.value, k.value, v.value
-    if (qv.ndim < 2 or kv.shape[:-1] != vv.shape[:-1]
+    if (qv.ndim < 2 or kv.shape != vv.shape
             or qv.shape[:-2] + qv.shape[-1:] != kv.shape[:-2] + kv.shape[-1:]):
         raise ShapeError(f"attention: q {qv.shape}, k {kv.shape}, v {vv.shape} do not fit")
-    p = qv @ np.swapaxes(kv, -1, -2)
+    if n_heads < 1 or qv.shape[-1] % n_heads:
+        raise ShapeError(f"attention: width {qv.shape[-1]} not divisible by {n_heads} heads")
+    dh = qv.shape[-1] // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(x):  # (..., L, d) -> (..., n_heads, L, dh)
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, dh)), -3, -2)
+
+    def merge(x, like):  # (..., n_heads, L, dh) -> (..., L, d)
+        return np.swapaxes(x, -3, -2).reshape(like.shape)
+
+    qh, kh, vh = heads(qv), heads(kv), heads(vv)
+    p = qh @ np.swapaxes(kh, -1, -2)
     p *= scale
     if mask is not None:
-        p += mask
+        p += np.expand_dims(mask, -3)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Node(p @ vv, "attention", (q, k, v))
+    out = Node(merge(p @ vh, qv), "attention", (q, k, v))
 
     def backward(g):
-        _accum(v, np.swapaxes(p, -1, -2) @ g)
-        gs = g @ np.swapaxes(vv, -1, -2)
+        g = heads(g)
+        _accum(v, merge(np.swapaxes(p, -1, -2) @ g, vv))
+        gs = g @ np.swapaxes(vh, -1, -2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        _accum(q, gs @ kv)
-        _accum(k, np.swapaxes(gs, -1, -2) @ qv)
+        _accum(q, merge(gs @ kh, qv))
+        _accum(k, merge(np.swapaxes(gs, -1, -2) @ qh, kv))
 
     return _finish(out, backward)
 
@@ -653,7 +673,6 @@ def forward_backward(
     program: Program,
     inputs: Mapping[str, Tensor | np.ndarray],
     params: ParameterSet,
-    loss_name: str = "loss",
 ) -> tuple[dict[str, Tensor], ParameterSet]:
     """Evaluate a program and return outputs plus d(loss)/d(param).
 
@@ -661,9 +680,9 @@ def forward_backward(
     that is not finite in float32 raises NonFiniteError naming its path.
     """
     outputs, param_nodes = run_program(program, inputs, params)
-    if loss_name not in outputs:
-        raise GraphError(f"program outputs {sorted(outputs)} lack {loss_name!r}")
-    backward(outputs[loss_name])
+    if "loss" not in outputs:
+        raise GraphError(f"program outputs {sorted(outputs)} lack 'loss'")
+    backward(outputs["loss"])
     grads = {}
     for path, node in param_nodes.items():
         if node.grad is None:
@@ -682,7 +701,6 @@ def grad_check(
     inputs: Mapping[str, Tensor | np.ndarray],
     params: ParameterSet,
     epsilon: float = 1e-4,
-    loss_name: str = "loss",
     floor: float = 1e-6,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -700,9 +718,9 @@ def grad_check(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     outputs, param_nodes = run_program(program, inputs, params, dtype=np.float64)
-    if loss_name not in outputs:
-        raise GraphError(f"program outputs {sorted(outputs)} lack {loss_name!r}")
-    loss_node = outputs[loss_name]
+    if "loss" not in outputs:
+        raise GraphError(f"program outputs {sorted(outputs)} lack 'loss'")
+    loss_node = outputs["loss"]
     if loss_node.value.size != 1:
         raise GraphError(f"grad_check: loss must be scalar, got shape {loss_node.shape}")
     backward(loss_node)
@@ -721,7 +739,7 @@ def grad_check(
         in_nodes = {k: Node(v) for k, v in fixed_inputs.items()}
         p_nodes = {k: Node(v) for k, v in arrays.items()}
         out = program(in_nodes, p_nodes)
-        return float(out[loss_name].value)
+        return float(out["loss"].value)
 
     max_err = 0.0
     for path, arr in base.items():

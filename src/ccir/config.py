@@ -46,6 +46,11 @@ class TrainConfig:
             raise ValueError("batch size must be >= 2 (the matching loss needs in-batch negatives)")
         if self.reference_only and self.target_only:
             raise ValueError("reference_only and target_only are mutually exclusive")
+        for name in ("d", "n_heads", "eval_every", "decay_every", "subset_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if any(k < 1 for k in tuple(self.recall_ks) + tuple(self.subset_ks)):
+            raise ValueError("every k in recall_ks and subset_ks must be at least 1")
         if self.d % 2 or self.d % self.n_heads:
             raise ValueError(f"width {self.d} must be even and divisible by {self.n_heads} heads")
         if self.k_steps < 1:

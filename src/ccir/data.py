@@ -87,6 +87,14 @@ class DataConfig:
             raise ValueError("need at least 2 colors for CHANGE edits")
         if self.max_objects > len(self.shapes):
             raise ValueError("max_objects cannot exceed available shapes")
+        if min(self.grid) < 1 or self.cell_px < 1:
+            raise ValueError(f"grid {self.grid} and cell_px {self.cell_px} must be positive")
+        if not 1 <= self.min_objects <= self.max_objects:
+            raise ValueError(f"need 1 <= min_objects ({self.min_objects}) <= max_objects "
+                             f"({self.max_objects})")
+        if self.max_objects >= self.n_cells:
+            raise ValueError(f"max_objects ({self.max_objects}) must leave a free cell for an "
+                             f"ADD edit on the {self.grid} grid")
 
     @property
     def n_cells(self) -> int:
@@ -161,12 +169,11 @@ class ConceptVocabulary:
 # ---------------------------------------------------------------------------
 
 
-def parse_concepts(modifier: str, lexicon: dict = LEXICON,
-                   pos_set: frozenset = ALL_POS) -> set:
+def parse_concepts(modifier: str, pos_set: frozenset = ALL_POS) -> set:
     """Words of the modifier whose part of speech is enabled."""
     out = set()
     for word in modifier.lower().split():
-        tag = lexicon.get(word)
+        tag = LEXICON.get(word)
         if tag is None:
             warnings.warn(f"word {word!r} missing from lexicon, skipped")
             continue
@@ -175,38 +182,36 @@ def parse_concepts(modifier: str, lexicon: dict = LEXICON,
     return out
 
 
-def build_vocabulary(train_modifiers, lexicon: dict = LEXICON,
-                     pos_set: frozenset = ALL_POS) -> ConceptVocabulary:
+def build_vocabulary(train_modifiers, pos_set: frozenset = ALL_POS) -> ConceptVocabulary:
     if not train_modifiers:
         raise ValueError("need at least one training modifier")
     concepts = set()
     for m in train_modifiers:
-        concepts.update(parse_concepts(m, lexicon, pos_set))
+        concepts.update(parse_concepts(m, pos_set))
     if not concepts:
         raise ValueError("no concepts parsed from training modifiers")
     ordered = sorted(concepts)
-    return ConceptVocabulary(ordered, {c: lexicon[c] for c in ordered})
+    return ConceptVocabulary(ordered, {c: LEXICON[c] for c in ordered})
 
 
-def make_zero_shot_split(train_modifiers, val_triplets, lexicon: dict = LEXICON,
-                         pos_set: frozenset = ALL_POS):
+def make_zero_shot_split(train_modifiers, val_triplets):
     """Concepts unique to validation, plus the val records (dicts with a
     "modifier") that use them."""
     if not train_modifiers or not val_triplets:
         raise ValueError("both splits must be non-empty")
     train_concepts = set()
     for m in train_modifiers:
-        train_concepts.update(parse_concepts(m, lexicon, pos_set))
+        train_concepts.update(parse_concepts(m))
     val_concepts = set()
     for t in val_triplets:
-        val_concepts.update(parse_concepts(t["modifier"], lexicon, pos_set))
+        val_concepts.update(parse_concepts(t["modifier"]))
     zero_shot = val_concepts - train_concepts
     if not zero_shot:
         warnings.warn("zero-shot split is empty: validation adds no new concepts")
         return set(), []
     kept = [
         t for t in val_triplets
-        if parse_concepts(t["modifier"], lexicon, pos_set) & zero_shot
+        if parse_concepts(t["modifier"]) & zero_shot
     ]
     return zero_shot, kept
 

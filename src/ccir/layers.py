@@ -4,8 +4,8 @@ Each layer comes as a pair: ``init_*`` writes freshly initialized Tensors
 into a plain dict keyed by parameter path, and the forward function builds
 graph nodes from a matching dict of leaf nodes.  The forward functions are
 thin wrappers over the fused primitives of ``autograd`` (one node per
-linear map, norm, attention, SiLU and GRU step).  Weights start at
-uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) and biases at zero.
+linear map, norm, multi-head attention, SiLU and GRU step).  Weights
+start at uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) and biases at zero.
 """
 
 from __future__ import annotations
@@ -60,47 +60,15 @@ def layer_norm(p, prefix: str, x):
 
 
 def attention_core(q, k, v, n_heads: int, key_mask=None):
-    """Scaled dot-product attention within each example.
+    """Scaled dot-product attention over the tokens of each leading index.
 
-    q: (n, Lq, d), k and v: (n, Lk, d), already projected; 2-D operands
-    are a single example.  The heads are split onto an axis of their own,
-    and one fused ``attention`` node attends over all n * n_heads stacks.
-    ``key_mask`` (a constant array broadcastable to (n, Lq, Lk), 0 for a
+    q: (..., Lq, d), k and v: (..., Lk, d), already projected; one fused
+    ``attention`` node splits the heads, attends and merges them.
+    ``key_mask`` (a constant array broadcastable to (..., Lq, Lk), 0 for a
     live key and -1e9 for a padded one) is added to the logits before the
-    softmax.
+    softmax.  The benchmark's tracer times attention through this name.
     """
-    d = q.shape[-1]
-    if d % n_heads:
-        raise ValueError(f"width {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-
-    def heads(x):  # (..., L, d) -> (..., n_heads, L, dh)
-        return ag.transpose(ag.reshape(x, x.shape[:-1] + (n_heads, dh)), -3, -2)
-
-    mask = None if key_mask is None else np.expand_dims(key_mask, -3)
-    out = ag.attention(heads(q), heads(k), heads(v), 1.0 / math.sqrt(dh), mask)
-    return ag.reshape(ag.transpose(out, -3, -2), q.shape)
-
-
-def pair_attention_core(q, k, v, k_pair, v_pair, n_heads: int):
-    """Attention in which each query token sees exactly two keys.
-
-    Token i of ``q`` attends to token i of ``k``/``v`` (itself) and token i
-    of ``k_pair``/``v_pair`` (its partner); operands are (n, L, d) or 2-D.
-    A softmax over two logits is the sigmoid of their difference, so no
-    score matrix is ever formed.
-    """
-    d = q.shape[-1]
-    if d % n_heads:
-        raise ValueError(f"width {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-
-    def heads(x):
-        return ag.reshape(x, q.shape[:-1] + (n_heads, dh))
-
-    gap = ag.sum_(heads(q * (k - k_pair)), axis=-1, keepdims=True) * (1.0 / math.sqrt(dh))
-    w_self = ag.sigmoid(gap)
-    return ag.reshape(heads(v_pair) + w_self * heads(v - v_pair), q.shape)
+    return ag.attention(q, k, v, n_heads, key_mask)
 
 
 def init_mha(rng, params: dict, prefix: str, d: int) -> None:
@@ -130,15 +98,17 @@ def ffn(p, prefix: str, x):
 # -- pre-norm transformer layer ---------------------------------------------
 
 
-def init_transformer_layer(rng, params: dict, prefix: str, d: int, hidden: int | None = None) -> None:
+def init_transformer_layer(rng, params: dict, prefix: str, d: int) -> None:
     init_layer_norm(rng, params, prefix + "/ln1", d)
     init_mha(rng, params, prefix + "/attn", d)
     init_layer_norm(rng, params, prefix + "/ln2", d)
-    init_ffn(rng, params, prefix + "/ffn", d, hidden or 2 * d)
+    init_ffn(rng, params, prefix + "/ffn", d, 2 * d)
 
 
 def transformer_layer(p, prefix: str, x, n_heads: int):
-    """Self-attention within each example of x: (n, L, d), or (L, d)."""
+    """Self-attention over the L tokens of each leading index of x:
+    (..., L, d).  The image encoder runs it over (n, L, d) images; the
+    joint encoder over (n, L, 2, d) cell pairs."""
     h = layer_norm(p, prefix + "/ln1", x)
     x = x + mha(p, prefix + "/attn", h, h, h, n_heads)
     h2 = layer_norm(p, prefix + "/ln2", x)

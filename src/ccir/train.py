@@ -188,6 +188,17 @@ def load_dataset(data_dir) -> Dataset:
     )
 
 
+def _check_geometry(ckpt: Checkpoint, dataset: Dataset) -> None:
+    """A checkpoint reads only images of the grid, cell size and channel
+    count it was trained on; raises DataError naming both otherwise."""
+    def geometry(x):
+        return f"{x.grid[0]}x{x.grid[1]} grid of {x.cell_px}-px cells, {x.channels} channels"
+
+    if geometry(ckpt) != geometry(dataset):
+        raise DataError(f"the dataset has a {geometry(dataset)}; "
+                        f"the checkpoint was trained on a {geometry(ckpt)}")
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -221,8 +232,7 @@ def _encode_images(params, dataset: Dataset, image_ids, cfg: TrainConfig) -> np.
     return tokens
 
 
-def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
-          verbose: bool = False):
+def train(cfg: TrainConfig, data_dir, out_dir=None, verbose: bool = False):
     """Full training run; returns (Checkpoint, list of per-epoch records)."""
     t_start = time.time()
     dataset = load_dataset(data_dir)
@@ -257,7 +267,7 @@ def train(cfg: TrainConfig, data_dir, out_dir=None, log_name="metrics.jsonl",
     log_fh = None
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
-        log_fh = open(out_root / log_name, "w", encoding="utf-8")
+        log_fh = open(out_root / "metrics.jsonl", "w", encoding="utf-8")
 
     try:
         for epoch in range(cfg.epochs):
@@ -368,6 +378,7 @@ def frozen_encoder_features(dataset: Dataset, cfg: TrainConfig, gallery_ids) -> 
 
 def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
              gallery_ids=None, score_dump_path=None, subsets_cache: dict | None = None) -> Metrics:
+    _check_geometry(ckpt, dataset)
     cfg = ckpt.config
     L = dataset.n_patches
     if gallery_ids is None:
@@ -439,6 +450,7 @@ def evaluate(ckpt: Checkpoint, query_records, dataset: Dataset,
 
 def _alignment_rows(ckpt: Checkpoint, records, dataset: Dataset) -> list:
     """``alignment_record`` rows of the records' pairs, from one batched pass."""
+    _check_geometry(ckpt, dataset)
     vocab = ckpt.concept_vocab
     mask = np.stack([
         ConceptLabelVector.from_concepts(rec["concepts"], vocab.concepts).labels for rec in records
@@ -475,6 +487,7 @@ def export_alignment_heatmap(ckpt: Checkpoint, rec: dict, concept: str,
                              dataset: Dataset, out_prefix) -> dict:
     """The concept's own attention map over the side-by-side reference and
     target grids, as a portable PGM plus a JSON sidecar."""
+    _check_geometry(ckpt, dataset)
     if concept not in ckpt.concept_vocab:
         raise DataError(f"concept {concept!r} not in the model vocabulary")
     cid = ckpt.concept_vocab.index[concept]

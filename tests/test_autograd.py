@@ -265,7 +265,10 @@ def test_grad_check_every_primitive():
             "loss": ag.sum_(ag.adaptive_norm(p["p0"], p["p1"], p["p2"], 1e-5) * ag.leaf(rng_bt))
         },
         "attention": lambda i, p: {
-            "loss": ag.sum_(ag.attention(p["p0"], p["p1"], p["p2"], 0.7, key_pad) * ag.leaf(rng_att))
+            "loss": ag.sum_(ag.attention(p["p0"], p["p1"], p["p2"], 2, key_pad) * ag.leaf(rng_att))
+        },
+        "attention_pairs": lambda i, p: {
+            "loss": ag.sum_(ag.attention(p["p0"], p["p1"], p["p2"], 2) * ag.leaf(rng_pair))
         },
         "silu": lambda i, p: {"loss": ag.sum_(ag.silu(p["p0"]) * ag.leaf(rng_w))},
         "linear": lambda i, p: {
@@ -292,11 +295,12 @@ def test_grad_check_every_primitive():
     rng_bmm = rng.normal(size=(2, 4, 2)).astype(np.float32)
     rng_bt = rng.normal(size=(2, 3, 4)).astype(np.float32)
     rng_th = rng.normal(size=(2, 4, 3, 2)).astype(np.float32)
-    rng_att = rng.normal(size=(2, 2, 3, 2)).astype(np.float32)
+    rng_att = rng.normal(size=(2, 3, 4)).astype(np.float32)
     rng_gru = rng.normal(size=(3, 4)).astype(np.float32)
-    key_pad = np.zeros((2, 1, 1, 4), np.float32)
-    key_pad[1, ..., 3] = -1e9
+    key_pad = np.zeros((2, 1, 4), np.float32)
+    key_pad[1, :, 3] = -1e9
     h0 = rng.normal(size=(3, 4)).astype(np.float32)
+    rng_pair = rng.normal(size=(2, 3, 2, 4)).astype(np.float32)
     live = np.array([1.0, 0.0, 1.0], np.float32)
 
     two_param = {"add", "sub", "mul", "div", "concat"}
@@ -307,7 +311,8 @@ def test_grad_check_every_primitive():
         "transpose_heads": [(2, 3, 4, 2)],
         "adaptive_norm": [(2, 3, 4), (4,), (4,)],
         "adaptive_norm_rows": [(2, 3, 4), (2, 1, 4), (2, 1, 4)],
-        "attention": [(2, 2, 3, 2), (2, 2, 4, 2), (2, 2, 4, 2)],
+        "attention": [(2, 3, 4), (2, 4, 4), (2, 4, 4)],
+        "attention_pairs": [(2, 3, 2, 4)] * 3,
         "linear": [(2, 4, 3), (3, 2), (2,)],
         "gru_cell": [(2, 3, 2)] + [(2, 4)] * 3 + [(4, 4)] * 3 + [(4,)] * 3,
     }

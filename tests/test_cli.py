@@ -160,6 +160,39 @@ def test_exit_2_on_bad_config(data_dir, tmp_path, capsys):
                  "--holdout-colors", "mauve"]) == 2
 
 
+SMALL_TRAIN = ["--set", "epochs=1", "--set", "d=16", "--set", "k_steps=2",
+               "--set", "batch_size=8", "--set", "freeze_epochs=1"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--set", "d=0"]),
+    ("train", ["--set", "n_heads=0"]),
+    ("train", ["--set", "eval_every=0"]),
+    ("train", ["--set", "decay_every=0"]),
+    ("train", ["--set", "recall_ks=0"]),
+    ("train", ["--set", "subset_ks=1,0"]),
+    ("train", ["--set", "subset_size=0"]),
+    ("generate-data", ["--grid", "0x4"]),
+    ("generate-data", ["--cell-px", "0"]),
+    ("generate-data", ["--min-objects", "0"]),
+    ("generate-data", ["--min-objects", "5"]),
+    ("generate-data", ["--grid", "2x2"]),
+])
+def test_exit_2_on_out_of_range_value(data_dir, tmp_path, capsys, command, flags):
+    """A width, head count, period, k, subset size, grid, cell size or
+    object count the program cannot run with exits 2 before writing."""
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(data_dir), "--out", str(out), "--seed", "0", "--quiet",
+                *SMALL_TRAIN, *flags]
+    else:
+        argv = ["generate-data", "--out", str(out), "--n-train", "20", "--n-val", "4",
+                "--seed", "1", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("holdout", ["red,blue,green,yellow,purple",
                                      "red,blue,green,yellow,purple,orange"])
 def test_exit_2_when_holdout_leaves_one_training_color(tmp_path, capsys, holdout):
@@ -255,6 +288,27 @@ def test_exit_3_on_corrupt_image_store(data_dir, tmp_path, capsys, name, corrupt
     assert code == 3
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [("--grid", "3x3"), ("--cell-px", "4")])
+def test_exit_3_on_dataset_of_another_geometry(run_dir, tmp_path, capsys, flag):
+    """A checkpoint evaluated or visualized on a dataset whose grid or cell
+    size differs from its own exits 3, naming both geometries."""
+    other = tmp_path / "other"
+    assert main(["generate-data", "--out", str(other), "--n-train", "8", "--n-val", "4",
+                 "--seed", "3", *flag]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "model.nck"), "--data", str(other)]) == 3
+    err = capsys.readouterr().err
+    assert "4x4 grid of 8-px cells" in err and "Traceback" not in err
+    rec = read_jsonl(other / "val.jsonl")[0]
+    side = json.loads((run_dir / "model.json").read_text(encoding="utf-8"))
+    concept = next(c for c in rec["concepts"] if c in side["concepts"])
+    assert main(["align-viz", "--checkpoint", str(run_dir / "model.nck"), "--data", str(other),
+                 "--triplet", rec["id"], "--concept", concept,
+                 "--out", str(tmp_path / "h")]) == 3
+    assert "4x4 grid of 8-px cells" in capsys.readouterr().err
+    assert not (tmp_path / "h.pgm").exists()
 
 
 def test_exit_3_on_malformed_checkpoint(run_dir, data_dir, tmp_path, capsys):

@@ -18,7 +18,6 @@ from ccir.layers import (
     layer_norm,
     linear,
     mha,
-    pair_attention_core,
     transformer_layer,
     uniform_init,
 )
@@ -168,21 +167,25 @@ def test_batched_attention_matches_dense_masked_oracle():
 
 
 def test_pair_attention_matches_masked_attention():
-    """Row i attends to itself and row i of the partner stack only: the
-    same as full attention over [self; partner] with every other key
-    masked out."""
+    """On (n, L, 2, d) cell pairs a token attends to itself and the same
+    cell of the other image only: the same as dense attention over each
+    example's 2L tokens with every other key masked out.  On (n, L, 1, d)
+    a softmax over one key is exactly 1, so each token copies its value."""
     rng = np.random.default_rng(12)
-    n, d, heads = 5, 8, 2
-    q, k, v, kp, vp = (rng.normal(size=(n, d)).astype(np.float32) for _ in range(5))
-    got = pair_attention_core(*(ag.leaf(a) for a in (q, k, v, kp, vp)), heads).value
-    mask = np.full((n, 2 * n), -1e9, dtype=np.float32)
-    mask[np.arange(n), np.arange(n)] = 0.0
-    mask[np.arange(n), n + np.arange(n)] = 0.0
-    want = np_masked_attention(q, np.concatenate([k, kp]), np.concatenate([v, vp]), heads, mask)
-    assert np.allclose(got, want, atol=1e-5)
-    # a row that is its own partner copies its value
-    same = pair_attention_core(*(ag.leaf(a) for a in (q, k, v, k, v)), heads).value
-    assert np.allclose(same, v, atol=1e-6)
+    n, L, d, heads = 2, 5, 8, 2
+    q, k, v = (rng.normal(size=(n, L, 2, d)).astype(np.float32) for _ in range(3))
+    got = attention_core(*(ag.leaf(a) for a in (q, k, v)), heads).value
+
+    def rows(a):  # each example's L reference cells, then its L target cells
+        return a.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    example, cell = np.repeat(np.arange(n), 2 * L), np.tile(np.arange(L), 2 * n)
+    keep = (example[:, None] == example) & (cell[:, None] == cell)
+    mask = np.where(keep, 0.0, -1e9).astype(np.float32)
+    want = np_masked_attention(rows(q), rows(k), rows(v), heads, mask)
+    assert np.allclose(rows(got), want, atol=1e-5)
+    single = [ag.leaf(a[:, :, :1]) for a in (q, k, v)]
+    assert np.array_equal(attention_core(*single, heads).value, v[:, :, :1])
 
 
 def test_mha_matches_projection_oracle():

@@ -216,4 +216,4 @@ def test_default_training_graph_stays_small(tmp_path):
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    assert len(seen) <= 600
+    assert len(seen) <= 340
