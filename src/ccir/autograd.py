@@ -18,7 +18,8 @@ the heads itself) and ``gru_cell`` (one masked GRU update).
 Reductions accumulate in float64 regardless of storage dtype.  A
 backward function is given its node's gradient and holds the parents and
 arrays it needs, never the node, so a graph holds no reference cycle and
-dies with its outputs.
+dies with its outputs.  Under ``no_grad()`` a node keeps neither its
+backward function nor its parents, and ``backward`` through it raises.
 
 Non-differentiable selections (argmax and friends) are deliberately
 absent: programs that need a hard selection cannot be expressed, which is
@@ -27,12 +28,15 @@ the intended rejection.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .tensor import ParameterSet, Tensor
+
+_recording = True  # False inside no_grad()
 
 
 class ShapeError(ValueError):
@@ -135,12 +139,25 @@ def _node_path(node: Node, depth: int = 8) -> str:
     return " <- ".join(parts)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Nodes built inside keep no backward graph; it nests, and restores on any exit."""
+    global _recording
+    old, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = old
+
+
 def _finish(out: Node, backward: Callable[[np.ndarray], None]) -> Node:
     if not np.isfinite(out.value).all():
         raise NonFiniteError(
             f"non-finite values from primitive '{out.op}' (path: {_node_path(out)})"
         )
     out._backward = backward
+    if not _recording:  # drop the closure, and the arrays it holds, here
+        out.parents, out._backward = (), None
     return out
 
 
@@ -647,6 +664,8 @@ def backward(loss: Node) -> None:
     if loss.value.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _toposort(loss)
+    if any(not node.parents and node.op != "leaf" for node in order):
+        raise GraphError("backward: the graph holds a node built under no_grad()")
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         fn, node._backward = node._backward, None

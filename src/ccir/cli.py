@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure during training.
+failure in training, evaluation or an alignment export.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .autograd import NonFiniteError
 from .config import TrainConfig
 from .data import (
     DataConfig,
@@ -169,6 +170,9 @@ def cmd_eval(args) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except NonFiniteError as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     print(json.dumps(m.to_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -204,6 +208,9 @@ def cmd_align_viz(args) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except NonFiniteError as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

@@ -168,17 +168,19 @@ def encode_images_array(params: ParameterSet, patch_stack: np.ndarray,
                         n_images: int, cfg: TrainConfig) -> np.ndarray:
     """(n, L, d) tokens of ``n_images`` images, given as a flat stack of
     patch rows or as (n, L, patch_dim)."""
-    p = _params_to_nodes(params)
-    patches = ag.leaf(_examples(patch_stack, n_images, -1))
-    return encode_image_batch_node(p, patches, cfg.n_heads).value.astype(np.float32)
+    with ag.no_grad():
+        p = _params_to_nodes(params)
+        patches = ag.leaf(_examples(patch_stack, n_images, -1))
+        return encode_image_batch_node(p, patches, cfg.n_heads).value.astype(np.float32)
 
 
 def embed_targets(params: ParameterSet, token_stack: np.ndarray, n_images: int,
                   seg_len: int, cfg: TrainConfig) -> np.ndarray:
     """Pooled target features f_a for a stack of per-image tokens."""
-    p = _params_to_nodes(params)
-    _, v = attention_pool_batch_node(p, ag.leaf(_examples(token_stack, n_images, seg_len)))
-    return v.value.astype(np.float32)
+    with ag.no_grad():
+        p = _params_to_nodes(params)
+        _, v = attention_pool_batch_node(p, ag.leaf(_examples(token_stack, n_images, seg_len)))
+        return v.value.astype(np.float32)
 
 
 def embed_queries(params: ParameterSet, ref_token_stack: np.ndarray,
@@ -186,14 +188,15 @@ def embed_queries(params: ParameterSet, ref_token_stack: np.ndarray,
                   cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """Pooled query features; also mean-pooled fused tokens when the
     context score is enabled (None otherwise)."""
-    p = _params_to_nodes(params)
-    ref_tok = ag.leaf(_examples(ref_token_stack, n_examples, seg_len))
-    words, q, key_mask = encode_text_batch_node(p, ids_batch, cfg.d)
-    fused, u = _query_feature(p, ref_tok, q, words, key_mask, cfg)
-    ctx = None
-    if cfg.context_score_on and fused is not None:
-        ctx = ag.mean(fused, axis=1).value.astype(np.float32)
-    return u.value.astype(np.float32), ctx
+    with ag.no_grad():
+        p = _params_to_nodes(params)
+        ref_tok = ag.leaf(_examples(ref_token_stack, n_examples, seg_len))
+        words, q, key_mask = encode_text_batch_node(p, ids_batch, cfg.d)
+        fused, u = _query_feature(p, ref_tok, q, words, key_mask, cfg)
+        ctx = None
+        if cfg.context_score_on and fused is not None:
+            ctx = ag.mean(fused, axis=1).value.astype(np.float32)
+        return u.value.astype(np.float32), ctx
 
 
 def alignment_maps(params: ParameterSet, patches: np.ndarray, concept_mask: np.ndarray,
@@ -206,13 +209,14 @@ def alignment_maps(params: ParameterSet, patches: np.ndarray, concept_mask: np.n
     one weight per joint token.  Returns maps (n, 2L) and sigmoid scores
     (n, C).
     """
-    p = _params_to_nodes(params)
-    n, seg_len = len(concept_mask), patches.shape[1]
-    ref, tgt = _visual_tokens(p, {"patches": ag.leaf(patches)}, n, seg_len, cfg)
-    bags = joint_encode_batch_node(p, ref, tgt, cfg.n_heads)
-    att, s = concept_mil_node(bags, p["concepts/table"])
-    maps = mean_concept_map(att.value, concept_mask)
-    return maps.astype(np.float32), ag.sigmoid(s).value.astype(np.float32)
+    with ag.no_grad():
+        p = _params_to_nodes(params)
+        n, seg_len = len(concept_mask), patches.shape[1]
+        ref, tgt = _visual_tokens(p, {"patches": ag.leaf(patches)}, n, seg_len, cfg)
+        bags = joint_encode_batch_node(p, ref, tgt, cfg.n_heads)
+        att, s = concept_mil_node(bags, p["concepts/table"])
+        maps = mean_concept_map(att.value, concept_mask)
+        return maps.astype(np.float32), ag.sigmoid(s).value.astype(np.float32)
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .model import (
 from .optim import OptimizerState, adamw_step, halved_lr, load_checkpoint, save_checkpoint
 from .tensor import ParameterSet
 
-EVAL_CHUNK = 32
+EVAL_CHUNK = 128
 META_KEYS = ("cell_px", "grid", "channels")
 RECORD_KEYS = ("id", "modifier", "ref_image", "tgt_image", "concepts")
 SIDECAR_KEYS = (

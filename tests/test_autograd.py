@@ -121,6 +121,60 @@ def test_nonfinite_gradient_names_parameter():
         ag.forward_backward(program, {}, ParameterSet({"enc/w": Tensor([0.0, 1.0])}))
 
 
+def test_no_grad_keeps_no_graph():
+    """Under no_grad() a node keeps no parents and no backward, so an
+    intermediate dies once the next op has read it; the values equal a
+    recorded build's, and backward() raises."""
+    x = ag.leaf(np.arange(6, dtype=np.float32).reshape(3, 2) / 6)
+    w = ag.leaf(np.full((2, 4), 0.5, np.float32))
+
+    def build(refs):
+        h = ag.matmul(x, w)
+        refs.append(weakref.ref(h))
+        return ag.sum_(ag.sigmoid(h) * h)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = []
+        want = build(refs)
+        assert refs[0]() is not None
+        with ag.no_grad():
+            with ag.no_grad():
+                got = build(refs)
+            assert build(refs).parents == ()
+        assert refs[1]() is None and refs[2]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert got.parents == () and got.value.tobytes() == want.value.tobytes()
+    with pytest.raises(ag.GraphError, match="no_grad"):
+        ag.backward(got)
+    ag.backward(want)
+    assert w.grad is not None
+
+
+def test_no_grad_restores_recording_after_nonfinite():
+    """An overflow inside no_grad() still raises NonFiniteError naming the
+    primitive; with parents dropped, the path stops at its direct input.
+    Recording is back on afterwards, and a training pass gets gradients."""
+    x = ag.leaf(np.full((1, 2), 3e38, np.float32))
+    w = ag.leaf(np.eye(2, dtype=np.float32))
+    with pytest.raises(ag.NonFiniteError, match=r"primitive 'add' \(path: add <- matmul\)"):
+        with ag.no_grad():
+            h = ag.matmul(x, w)
+            ag.add(h, h)
+    with pytest.raises(ag.NonFiniteError, match=r"path: add <- matmul <- leaf"):
+        h = ag.matmul(x, w)
+        ag.add(h, h)
+
+    def program(inputs, params):
+        return {"loss": ag.sum_(params["w"] * params["w"])}
+
+    _, grads = ag.forward_backward(program, {}, ParameterSet({"w": Tensor([1.0, -2.0])}))
+    np.testing.assert_array_equal(grads["w"].data, [2.0, -4.0])
+
+
 def test_graph_is_freed_without_the_collector():
     """No node sits in a reference cycle: with the collector off, an
     interior node dies as soon as the outputs are released."""

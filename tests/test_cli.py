@@ -1,13 +1,17 @@
 """Command-line surface: argument plumbing, config parsing, exit codes."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccir.cli import ConfigError, _coerce, build_parser, main, read_config_file
 from ccir.data import read_jsonl, write_jsonl
+from ccir.tensor import ParameterSet, Tensor
+from ccir.train import Checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -353,3 +357,26 @@ def test_exit_4_on_overflowing_update(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure" in err
     assert "AdamW update for parameter" in err
+
+
+def test_exit_4_on_overflowing_inference(run_dir, data_dir, tmp_path, capsys):
+    """A checkpoint whose patch weights (3e38, finite in float32) overflow
+    the first linear map: eval and align-viz exit 4, naming the primitive,
+    not a traceback."""
+    ckpt = Checkpoint.load(run_dir / "model.nck")
+    w = ckpt.params["image/patch/w"]
+    huge = ParameterSet({"image/patch/w": Tensor(np.full(w.shape, 3e38, np.float32))})
+    dataclasses.replace(ckpt, params=ckpt.params.merge(huge)).save(tmp_path / "model.nck")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.nck"),
+                 "--data", str(data_dir)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "'linear'" in err and "Traceback" not in err
+    rec = read_jsonl(data_dir / "val.jsonl")[0]
+    concept = next(c for c in rec["concepts"] if c in ckpt.concept_vocab)
+    assert main(["align-viz", "--checkpoint", str(tmp_path / "model.nck"),
+                 "--data", str(data_dir), "--triplet", rec["id"], "--concept", concept,
+                 "--out", str(tmp_path / "h")]) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "'linear'" in err and "Traceback" not in err
+    assert not (tmp_path / "h.pgm").exists()

@@ -1,11 +1,14 @@
 """Training harness: smoke convergence, freezing, checkpoints, exports."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
+from ccir import autograd as ag
 from ccir import metrics
+from ccir import train as T
 from ccir.config import TrainConfig
 from ccir.data import DataConfig, generate_dataset, read_jsonl
 from ccir.train import (
@@ -20,6 +23,7 @@ from ccir.train import (
     load_dataset,
     train,
 )
+from ccir.model import alignment_maps
 
 SMALL = dict(d=16, n_heads=2, k_steps=2, batch_size=16, epochs=2,
              freeze_epochs=1, eval_every=10)
@@ -41,6 +45,16 @@ def tiny_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_data")
     generate_dataset(out, 48, 12, DataConfig(), seed=78)
     return out
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    """A one-epoch model and a validation split of EVAL_CHUNK + 3 triplets,
+    so evaluation and the alignment export cross a chunk boundary."""
+    out = tmp_path_factory.mktemp("wide_data")
+    generate_dataset(out, 32, EVAL_CHUNK + 3, DataConfig(), seed=79)
+    ckpt, _ = train(small_cfg(epochs=1, freeze_epochs=0), out)
+    return ckpt, load_dataset(out)
 
 
 def test_load_dataset_bundle(data_dir):
@@ -204,12 +218,10 @@ def test_alignment_diagnostics_export(tiny_dir, tmp_path):
             assert 0.0 < score < 1.0
 
 
-def test_chunked_diagnostics_match_per_record_rows(tmp_path):
+def test_chunked_diagnostics_match_per_record_rows(wide_run, tmp_path):
     """The export runs EVAL_CHUNK pairs per pass; across a chunk boundary
     its rows equal one alignment_record call per triplet."""
-    generate_dataset(tmp_path / "data", 32, EVAL_CHUNK + 3, DataConfig(), seed=79)
-    ckpt, _ = train(small_cfg(epochs=1, freeze_epochs=0), tmp_path / "data")
-    ds = load_dataset(tmp_path / "data")
+    ckpt, ds = wide_run
     export_alignment_diagnostics(ckpt, ds.val, ds, tmp_path / "diag.jsonl")
     rows = read_jsonl(tmp_path / "diag.jsonl")
     assert len(rows) == EVAL_CHUNK + 3
@@ -223,6 +235,29 @@ def test_chunked_diagnostics_match_per_record_rows(tmp_path):
         assert sorted(row["concept_scores"]) == sorted(want["concept_scores"])
         for c, score in want["concept_scores"].items():
             assert abs(row["concept_scores"][c] - score) <= 1e-6
+
+
+def test_chunking_and_recording_leave_results_unchanged(wide_run, tmp_path, monkeypatch):
+    """Evaluation and the alignment export give the same bytes whatever
+    EVAL_CHUNK is, and the same as when the inference helpers record their
+    graphs as training does."""
+    ckpt, ds = wide_run
+    mask = np.ones((7, len(ckpt.concept_vocab)), np.float32)
+    patches = T._pair_patches(ds, ds.val[:7])
+
+    def outputs(tag):
+        m = evaluate(ckpt, ds.val, ds, score_dump_path=tmp_path / f"{tag}.jsonl")
+        export_alignment_diagnostics(ckpt, ds.val, ds, tmp_path / f"{tag}.diag")
+        maps = alignment_maps(ckpt.params, patches, mask, ckpt.config)
+        return (json.dumps(m.to_dict(), sort_keys=True), (tmp_path / f"{tag}.jsonl").read_bytes(),
+                (tmp_path / f"{tag}.diag").read_bytes(), [a.tobytes() for a in maps])
+
+    want = outputs("default")
+    for chunk in (7, 32, 128):
+        monkeypatch.setattr(T, "EVAL_CHUNK", chunk)
+        assert outputs(f"chunk{chunk}") == want
+    monkeypatch.setattr(ag, "no_grad", contextlib.nullcontext)
+    assert outputs("recorded") == want
 
 
 def test_heatmap_export_files(tiny_dir, tmp_path):
